@@ -84,24 +84,14 @@ bench-sweep:
 	$(GO) run ./cmd/benchjson diff -fail -threshold 0.5 -metric sims -match Sweep \
 		results/bench/SWEEP_$$(date -u +%F)_cold.json results/bench/SWEEP_$$(date -u +%F)_warm.json
 
-# Multi-core scaling trajectory: the Fig. 7/8 scaling workloads on both
-# stage-2 execution paths (ECRIPSE_EXEC_PATH pins the path, the benchmark
-# names stay identical) at GOMAXPROCS 1/2/4/8, recorded as
-# results/bench/SCALING_<date>_{staged,pipelined}.json. The diff prints the
-# pipelined/staged wall-clock ratio per (benchmark, procs) pair; CI runs
-# the same comparison as a blocking gate at -cpu 4 (threshold 0.9, i.e.
-# pipelining must buy at least 10% at four cores). On a single-core host
-# the paths tie — the trajectory file records that honestly.
+# Multi-core scaling trajectory: the Fig. 7/8 scaling workloads at
+# GOMAXPROCS 1/2/4/8, recorded as results/bench/SCALING_<date>.json. On a
+# single-core host the -cpu settings tie; the file records that honestly.
 bench-scaling:
 	mkdir -p results/bench
-	ECRIPSE_EXEC_PATH=staged $(GO) test -bench 'Fig7Scaling|Fig8Scaling' -cpu 1,2,4,8 -benchtime 1x -count 3 -run XXX -timeout 60m . \
-		| tee results/bench/scaling_staged_raw.txt
-	ECRIPSE_EXEC_PATH=pipelined $(GO) test -bench 'Fig7Scaling|Fig8Scaling' -cpu 1,2,4,8 -benchtime 1x -count 3 -run XXX -timeout 60m . \
-		| tee results/bench/scaling_pipelined_raw.txt
-	$(GO) run ./cmd/benchjson -o results/bench/SCALING_$$(date -u +%F)_staged.json < results/bench/scaling_staged_raw.txt
-	$(GO) run ./cmd/benchjson -o results/bench/SCALING_$$(date -u +%F)_pipelined.json < results/bench/scaling_pipelined_raw.txt
-	$(GO) run ./cmd/benchjson diff -threshold 0.9 -match 'Fig7Scaling|Fig8Scaling' \
-		results/bench/SCALING_$$(date -u +%F)_staged.json results/bench/SCALING_$$(date -u +%F)_pipelined.json
+	$(GO) test -bench 'Fig7Scaling|Fig8Scaling' -cpu 1,2,4,8 -benchtime 1x -count 3 -run XXX -timeout 60m . \
+		| tee results/bench/scaling_raw.txt
+	$(GO) run ./cmd/benchjson -o results/bench/SCALING_$$(date -u +%F).json < results/bench/scaling_raw.txt
 
 # Regenerate the paper's evaluation at default scale into results/.
 figures:
@@ -127,4 +117,4 @@ clean:
 		results/bench/bench_new_raw.txt results/bench/bench_new.json \
 		results/bench/batch_raw.txt \
 		results/bench/sweep_cold_raw.txt results/bench/sweep_warm_raw.txt \
-		results/bench/scaling_staged_raw.txt results/bench/scaling_pipelined_raw.txt
+		results/bench/scaling_raw.txt

@@ -249,52 +249,26 @@ func BenchmarkEngineParallelism(b *testing.B) {
 	}
 }
 
-// --- Multi-core scaling (pipelined vs staged stage-2) -------------------
-
-// execPathOpts pins the stage-2 execution path from ECRIPSE_EXEC_PATH
-// ("staged" forces the barrier-staged loop, "pipelined" or unset keeps the
-// default double-buffered pipeline) while leaving the benchmark name
-// unchanged — so `make bench-scaling` records two comparable documents and
-// benchjson diff pairs them by (name, procs). Estimates are bit-identical
-// either way; only wall-clock may differ.
-func execPathOpts(b *testing.B, opts core.Options) core.Options {
-	b.Helper()
-	switch mode := os.Getenv("ECRIPSE_EXEC_PATH"); mode {
-	case "staged":
-		opts.NoPipeline = true
-	case "pipelined", "":
-	default:
-		b.Fatalf("ECRIPSE_EXEC_PATH=%q (want staged, pipelined, or unset)", mode)
-	}
-	return opts
-}
+// --- Multi-core scaling ------------------------------------------------
 
 // BenchmarkFig7Scaling runs the Fig. 7 workload — the RTN-aware read-failure
 // estimate at alpha=0.3 — with intra-job parallelism tied to GOMAXPROCS, so
 // `-cpu 1,2,4,8` sweeps the worker count and the ns/op trajectory shows how
-// far the stage-2 loop scales. The lane sub-benchmarks vary the lockstep
-// kernel width the settlement barriers solve at.
+// far the engine scales.
 func BenchmarkFig7Scaling(b *testing.B) {
 	cell := sram.NewCell(device.VddLow)
 	cfg := rtn.TableIConfig(cell)
-	for _, lanes := range []int{64, 256} {
-		b.Run(fmt.Sprintf("lanes-%d", lanes), func(b *testing.B) {
-			opts := execPathOpts(b, core.Options{
-				NIS: 10000, M: 5, BatchLanes: lanes,
-				Parallelism: runtime.GOMAXPROCS(0),
-			})
-			var sims, p float64
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(int64(i + 1)))
-				res := core.NewEngine(cell, nil, opts).Run(rng, rtn.NewSampler(cell, cfg, 0.3))
-				sims += float64(res.Estimate.Sims)
-				p += res.Estimate.P
-			}
-			n := float64(b.N)
-			b.ReportMetric(sims/n, "sims")
-			b.ReportMetric(p/n, "pfail")
-		})
+	opts := core.Options{NIS: 10000, M: 5, Parallelism: runtime.GOMAXPROCS(0)}
+	var sims, p float64
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		res := core.NewEngine(cell, nil, opts).Run(rng, rtn.NewSampler(cell, cfg, 0.3))
+		sims += float64(res.Estimate.Sims)
+		p += res.Estimate.P
 	}
+	n := float64(b.N)
+	b.ReportMetric(sims/n, "sims")
+	b.ReportMetric(p/n, "pfail")
 }
 
 // BenchmarkFig8Scaling runs a three-point Fig. 8 duty-ratio slice on one
@@ -304,9 +278,7 @@ func BenchmarkFig7Scaling(b *testing.B) {
 func BenchmarkFig8Scaling(b *testing.B) {
 	cell := sram.NewCell(device.VddLow)
 	cfg := rtn.TableIConfig(cell)
-	opts := execPathOpts(b, core.Options{
-		NIS: 6000, M: 5, Parallelism: runtime.GOMAXPROCS(0),
-	})
+	opts := core.Options{NIS: 6000, M: 5, Parallelism: runtime.GOMAXPROCS(0)}
 	alphas := []float64{0.1, 0.3, 0.5}
 	var sims float64
 	for i := 0; i < b.N; i++ {

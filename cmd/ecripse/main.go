@@ -117,7 +117,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the hot loops (results are identical at any value)")
 		noClass    = flag.Bool("noclassifier", false, "disable the SVM blockade (every sample simulated)")
-		adaptive   = flag.Bool("adaptive", false, "tiered-fidelity indicator: coarse VTC grid first, full grid only near the failure boundary")
 		mode       = flag.String("mode", "read", "failure criterion: read, write or hold")
 		conditions = flag.Bool("conditions", false, "print the Table I experimental conditions and exit")
 		seriesPath = flag.String("series", "", "write the convergence series CSV to this file")
@@ -140,8 +139,7 @@ func main() {
 	if *sweepAlpha != "" || *sweepVdd != "" || *sweepTemp != "" {
 		base := service.JobSpec{
 			Mode: *mode, RTN: *withRTN, Seed: *seed, N: *nis, M: *m,
-			NoClassifier: *noClass, AdaptiveGrid: *adaptive,
-			Parallelism: *parallel, MaxSims: *maxSims,
+			NoClassifier: *noClass, Parallelism: *parallel, MaxSims: *maxSims,
 		}
 		if *sweepVdd == "" {
 			base.Vdd = *vdd
@@ -182,7 +180,7 @@ func main() {
 	cell := ecripse.NewCell(*vdd)
 	est := ecripse.New(cell, ecripse.Options{
 		NIS: *nis, M: *m, NoClassifier: *noClass, Mode: failMode,
-		AdaptiveGrid: *adaptive, Parallelism: *parallel,
+		Parallelism: *parallel,
 	})
 
 	// Budget plumbing: a wall-clock deadline and/or a simulation budget both
@@ -243,10 +241,6 @@ func main() {
 			res.PipelinedBatches, 100*res.OverlapFraction(),
 			time.Duration(res.PipelineStallNS).Round(time.Microsecond),
 			time.Duration(res.PipelineSettleNS).Round(time.Microsecond))
-	}
-	if *adaptive && res.CoarseSims > 0 {
-		fmt.Printf("  adaptive: %d coarse-tier samples, %d escalated to the full grid (%.1f%%)\n",
-			res.CoarseSims, res.Escalated, 100*float64(res.Escalated)/float64(res.CoarseSims))
 	}
 
 	if *trace {

@@ -9,8 +9,8 @@ import (
 )
 
 // benchPoints draws n normalized variability points spread from the typical
-// region out to ~4 sigma, so a barrier mixes passing, failing and (under
-// AdaptiveGrid) escalating samples like a real stage-2 batch does.
+// region out to ~4 sigma, so a barrier mixes passing and failing samples
+// like a real stage-2 batch does.
 func benchPoints(n int) []linalg.Vector {
 	rng := rand.New(rand.NewSource(42))
 	us := make([]linalg.Vector, n)
@@ -28,17 +28,16 @@ func benchPoints(n int) []linalg.Vector {
 // BenchmarkSimulateBatch measures one stage-2 settlement barrier: a full
 // batch of indicator calls through the lockstep margin solver. Run with
 // -benchmem — after the first barrier warms the engine scratch, the steady
-// state must be allocation-free (the per-barrier shs/margins/escalation
+// state must be allocation-free (the per-barrier shs/margins/results
 // buffers and solver tallies are all pooled on the engine).
 func BenchmarkSimulateBatch(b *testing.B) {
 	cases := []struct {
 		name string
 		opts Options
 	}{
-		{"exact", Options{}},
-		{"adaptive", Options{AdaptiveGrid: true}},
-		{"adaptive-par4", Options{AdaptiveGrid: true, Parallelism: 4}},
-		{"hold-lanes256", Options{Mode: HoldFailure, BatchLanes: 256}},
+		{"read", Options{}},
+		{"read-par4", Options{Parallelism: 4}},
+		{"hold", Options{Mode: HoldFailure}},
 	}
 	us := benchPoints(stage2Batch)
 	out := make([]bool, len(us))

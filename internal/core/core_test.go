@@ -166,6 +166,21 @@ func TestResultString(t *testing.T) {
 	}
 }
 
+// TestLaneUtilizationReported checks the derived utilization and its
+// String rendering.
+func TestLaneUtilizationReported(t *testing.T) {
+	r := Result{LaneSlots: 200, LaneOccupied: 150}
+	if u := r.LaneUtilization(); u != 0.75 {
+		t.Fatalf("utilization = %v, want 0.75", u)
+	}
+	if s := r.String(); !strings.Contains(s, "lanes: 75% occupied") {
+		t.Fatalf("String() = %q, missing lane utilization", s)
+	}
+	if u := (Result{}).LaneUtilization(); u != 0 {
+		t.Fatalf("empty utilization = %v", u)
+	}
+}
+
 func TestEngineSigmaMatchesCell(t *testing.T) {
 	cell := sram.NewCell(0.7)
 	eng := NewEngine(cell, nil, Options{})

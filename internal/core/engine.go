@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"ecripse/internal/linalg"
 	"ecripse/internal/montecarlo"
@@ -37,8 +35,7 @@ type Engine struct {
 
 	sigma      linalg.Vector // per-transistor RDF sigma [V]
 	whiten     *linalg.Whitener
-	snmOpts    *sram.SNMOptions // full-fidelity grid (the exact indicator)
-	coarseOpts *sram.SNMOptions // coarse first-tier grid (AdaptiveGrid only)
+	snmOpts    *sram.SNMOptions // the indicator's VTC grid
 	classifier *svm.Classifier
 	initial    []linalg.Vector // shared boundary particles (normalized space)
 	trustR     float64         // classifier trust radius (normalized units)
@@ -49,8 +46,6 @@ type Engine struct {
 	initSims   int64
 	warmupSims int64
 	classified int64 // labels answered by the classifier (free); atomic
-	coarseSims int64 // adaptive samples answered at the coarse tier; atomic
-	escalated  int64 // adaptive samples escalated to the full grid; atomic
 	solver     sram.SolveTelemetry
 
 	// scratch holds the reusable batch-barrier buffers (see batchScratch);
@@ -73,8 +68,6 @@ func NewEngine(cell *sram.Cell, counter *montecarlo.Counter, opts Options) *Engi
 		snmOpts: &sram.SNMOptions{GridN: 24, BisectIter: 24},
 	}
 	e.snmOpts.Telemetry = &e.solver
-	e.snmOpts.Lanes = opts.BatchLanes
-	e.coarseOpts = &sram.SNMOptions{GridN: 16, BisectIter: 24, Lanes: opts.BatchLanes, Telemetry: &e.solver}
 	if opts.Covariance != nil {
 		w, err := linalg.NewWhitener(linalg.NewVector(sram.NumTransistors), opts.Covariance)
 		if err != nil {
@@ -88,23 +81,6 @@ func NewEngine(cell *sram.Cell, counter *montecarlo.Counter, opts Options) *Engi
 // Sigma returns the per-transistor RDF standard deviations [V].
 func (e *Engine) Sigma() linalg.Vector { return e.sigma.Clone() }
 
-// simulate evaluates the true indicator at a *total* normalized shift
-// vector u (RDF + RTN combined, in units of the RDF sigma). One call is one
-// transistor-level simulation. Safe for concurrent use: the counter is
-// atomic and the cell is never mutated during evaluation. When
-// Opts.IndicatorHist is set the call is timed into it; the timing never
-// feeds back into the result.
-func (e *Engine) simulate(u linalg.Vector) bool {
-	h := e.Opts.IndicatorHist
-	if h == nil {
-		return e.indicator(u)
-	}
-	t0 := time.Now()
-	failed := e.indicator(u)
-	h.Observe(time.Since(t0).Seconds())
-	return failed
-}
-
 // shifts converts a normalized variability point into the physical
 // per-transistor threshold shifts the cell model takes.
 func (e *Engine) shifts(u linalg.Vector) sram.Shifts {
@@ -116,64 +92,6 @@ func (e *Engine) shifts(u linalg.Vector) sram.Shifts {
 		sh[i] = u[i] * e.sigma[i]
 	}
 	return sh
-}
-
-// indicator is the untimed indicator body.
-func (e *Engine) indicator(u linalg.Vector) bool {
-	e.Counter.Add(1)
-	sh := e.shifts(u)
-	if e.Opts.AdaptiveGrid {
-		// Tiered fidelity: a coarse-grid margin decides most samples; only
-		// those inside the conservative band around zero pay for the full
-		// grid. Both tiers are pure functions of sh, so the label — and the
-		// escalation decision itself — is deterministic and independent of
-		// worker scheduling.
-		atomic.AddInt64(&e.coarseSims, 1)
-		if m := e.margin(sh, e.coarseOpts); math.Abs(m) >= e.Opts.EscalationBand {
-			return m < 0
-		}
-		atomic.AddInt64(&e.escalated, 1)
-	}
-	return e.margin(sh, e.snmOpts) < 0
-}
-
-// margin evaluates the mode's signed margin [V]; every failure criterion is
-// margin < 0 (read/hold: Seevinck SNM, write: static write margin).
-func (e *Engine) margin(sh sram.Shifts, opts *sram.SNMOptions) float64 {
-	switch e.Opts.Mode {
-	case WriteFailure:
-		return e.Cell.WriteMargin(sh, opts)
-	case HoldFailure:
-		return e.Cell.HoldSNM(sh, opts)
-	default:
-		return e.Cell.ReadSNM(sh, opts)
-	}
-}
-
-// rtnValue computes Pfail_RTN(x) (eq. (17)) for an RDF point x: m RTN draws
-// from rng added to x in the normalized space, each labeled by lab.
-// sampler == nil (the RDF-only flow) reduces to a single lab(x) evaluation.
-func (e *Engine) rtnValue(rng *rand.Rand, sampler *rtn.Sampler, m int, x linalg.Vector, lab func(linalg.Vector) bool) float64 {
-	fails := 0
-	for k := 0; k < m; k++ {
-		u := x.Clone()
-		if sampler != nil {
-			sh := sampler.Sample(rng)
-			if e.whiten != nil {
-				// In the whitened space the additive physical shift maps
-				// through L⁻¹ (zero-mean Whiten).
-				u.AddInPlace(e.whiten.Whiten(sh.Vector()))
-			} else {
-				for i := range u {
-					u[i] += sh[i] / e.sigma[i]
-				}
-			}
-		}
-		if lab(u) {
-			fails++
-		}
-	}
-	return float64(fails) / float64(m)
 }
 
 // Init performs the paper's step (1): boundary search along random
@@ -197,11 +115,7 @@ func (e *Engine) InitCtx(ctx context.Context, rng *rand.Rand) {
 	dim := sram.NumTransistors
 	bseed := rng.Int63()
 	_, bspan := obsv.StartSpan(ctx, "boundary.init")
-	if e.Opts.scalarPath {
-		e.initial = pfilter.BoundaryInitPar(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.simulate, e.Opts.Parallelism)
-	} else {
-		e.initial = pfilter.BoundaryInitBatch(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.simulateBatch, e.Opts.Parallelism)
-	}
+	e.initial = pfilter.BoundaryInitPar(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.simulateBatch, e.Opts.Parallelism)
 	if len(e.initial) == 0 {
 		// Pathological cell: fall back to a ring at RMax so downstream code
 		// stays functional; the estimate will come out ~0.
@@ -229,8 +143,9 @@ func (e *Engine) InitCtx(ctx context.Context, rng *rand.Rand) {
 	}
 	// Classifier warm-up: jittered boundary points (balanced labels), plus
 	// scaled-in pass points and scaled-out failure points so the polynomial
-	// does not wander far from the data. Simulation of the warm-up set is
-	// parallel (slot writes only); training stays sequential on rng.
+	// does not wander far from the data. The points are staged in parallel
+	// (slot writes only) and labeled in one batched sweep; training stays
+	// sequential on rng.
 	_, wspan := obsv.StartSpan(ctx, "blockade.train")
 	start = e.Counter.Count()
 	e.classifier = svm.NewClassifier(svm.NewPolyFeatures(dim, e.Opts.PolyDegree, 0), e.Opts.Lambda)
@@ -252,15 +167,8 @@ func (e *Engine) InitCtx(ctx context.Context, rng *rand.Rand) {
 			u = base.Scale(1.2 + 0.5*r.Float64())
 		}
 		xs[i] = u
-		if e.Opts.scalarPath {
-			ys[i] = e.simulate(u)
-		}
 	})
-	if !e.Opts.scalarPath {
-		// The parallel loop above only staged the points (consuming exactly
-		// the scalar path's randomness); label them in one batched sweep.
-		e.simulateBatch(xs, ys)
-	}
+	e.simulateBatch(xs, ys)
 	e.classifier.Train(rng, xs, ys, e.Opts.Epochs)
 	e.warmupSims = e.Counter.Count() - start
 	wspan.SetAttr(obsv.I("train_points", int64(e.Opts.WarmupTrain)), obsv.I("sims", e.warmupSims))
@@ -305,8 +213,6 @@ func (e *Engine) Run(rng *rand.Rand, sampler *rtn.Sampler) Result {
 func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sampler) (Result, error) {
 	start := e.Counter.Count()
 	classifiedStart := atomic.LoadInt64(&e.classified)
-	coarseStart := atomic.LoadInt64(&e.coarseSims)
-	escalatedStart := atomic.LoadInt64(&e.escalated)
 	solvesStart, itersStart := e.solver.Totals()
 	laneSlotsStart, laneOccStart := e.solver.LaneTotals()
 	// Telemetry carriers, resolved once: spans record the phase timeline,
@@ -329,20 +235,11 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 	lab.countFlips = hm != nil
 
 	// Stage 1: particle-filter estimation of the alternative distribution.
-	// Each round is one batch: candidates are predicted and measured in
-	// parallel on per-index substreams against the frozen classifier, then
-	// the deferred label observations replay in index order at the barrier
-	// before resampling.
+	// Each round is one batch: candidates are predicted and labeled in
+	// parallel on per-index substreams against the frozen classifier, the
+	// deferred simulations settle in one batched sweep, then the label
+	// observations replay in index order at the barrier before resampling.
 	stage1Start := e.Counter.Count()
-	weight := func(r *rand.Rand, idx int, x linalg.Vector) float64 {
-		v := e.rtnValue(r, sampler, m, x, func(u linalg.Vector) bool {
-			return lab.labelStage1(r, idx, u)
-		})
-		if v <= 0 {
-			return 0
-		}
-		return v * randx.StdNormalPDF(x)
-	}
 	pfOpts := pfilter.Options{
 		Particles: e.Opts.Particles,
 		Filters:   e.Opts.Filters,
@@ -371,22 +268,14 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 		e.startCloud[i] = p.Clone()
 	}
 	perRound := ens.NumFilters() * e.Opts.Particles
-	var sv1 *stagedEval
-	if !e.Opts.scalarPath {
-		sv1 = newStagedEval(e, lab, sampler, m, true, perRound)
-	}
+	sv1 := newStagedEval(e, lab, sampler, m, true, perRound)
 	var pfRounds []PFRoundDiag
 	var flipRep, flipDis int64 // labeler flip counters as of the last boundary
 	for it := 0; it < e.Opts.PFIters && ctx.Err() == nil; it++ {
 		roundSeed := rng.Int63()
 		lab.begin(perRound)
 		_, rspan := obsv.StartSpan(ctx, "pf.round", obsv.I("round", int64(it)))
-		var recs []pfilter.StepRecord
-		if sv1 != nil {
-			recs = ens.StepParStaged(roundSeed, sv1, func(scored int) { lab.flushRange(0, scored) }, workers)
-		} else {
-			recs = ens.StepPar(roundSeed, weight, func(scored int) { lab.flushRange(0, scored) }, workers)
-		}
+		recs := ens.StepPar(roundSeed, sv1, func(scored int) { lab.flushRange(0, scored) }, workers)
 		diag := PFRoundDiag{Round: it, Sims: e.Counter.Count() - start, Filters: make([]FilterDiag, len(recs))}
 		for fi, rec := range recs {
 			diag.Filters[fi] = NewFilterDiag(rec)
@@ -416,24 +305,21 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 	// Stage 2: importance sampling from the particle GMM (eqs. (18), (19)),
 	// defensively mixed with the nominal distribution to bound the weights.
 	// Draw k consumes substream (seed2, k); classifier updates replay at
-	// stage2Batch barriers.
+	// stage2Batch barriers. The ring spans two batches so batch k+1 can
+	// generate (draws, classifier-independent) while batch k settles;
+	// scoring waits for the flush barrier.
 	stage2Start := e.Counter.Count()
 	q := ens.PoolGMM(nil, 600)
 	proposal := &montecarlo.DefensiveMixture{Q: q, Rho: e.Opts.Rho, Dim: sram.NumTransistors}
 	seed2 := rng.Int63()
 	lab.begin(e.Opts.NIS)
-	value := func(r *rand.Rand, k int, x linalg.Vector) float64 {
-		return e.rtnValue(r, sampler, m, x, func(u linalg.Vector) bool {
-			return lab.labelStage2(k, u)
-		})
-	}
 	_, s2span := obsv.StartSpan(ctx, "stage2.is", obsv.I("n_is", int64(e.Opts.NIS)))
 	var onBatch func(samples int, pt stats.Point)
 	if emit != nil || hm != nil {
 		barrier := 0
 		onBatch = func(samples int, pt stats.Point) {
-			// Barrier code: single-threaded in every driver, always after the
-			// batch's Flush, so the flip deltas line up across paths.
+			// Barrier code: single-threaded, always after the batch's Flush,
+			// so the flip deltas are scheduling-independent.
 			if emit != nil {
 				emit("is_batch", newISBatchDiag(samples, pt))
 			}
@@ -445,30 +331,17 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 			barrier++
 		}
 	}
-	po := montecarlo.ParOptions{
-		Seed:    seed2,
-		Workers: workers,
-		Batch:   stage2Batch,
-		Flush:   lab.flushRange,
-		OnBatch: onBatch,
-	}
-	var series stats.Series
 	var pipe montecarlo.PipelineStats
-	switch {
-	case e.Opts.scalarPath:
-		series = montecarlo.ImportanceSamplePar(ctx, proposal, value, e.Opts.NIS, po, e.Counter, e.Opts.RecordEvery)
-	case e.Opts.NoPipeline:
-		sv2 := newStagedEval(e, lab, sampler, m, false, stage2Batch)
-		series = montecarlo.ImportanceSampleParStaged(ctx, proposal, sv2, e.Opts.NIS, po, e.Counter, e.Opts.RecordEvery)
-	default:
-		// Pipelined staged execution: the ring spans two batches so batch
-		// k+1 can generate (draws + proposal log-densities, both
-		// classifier-independent) while batch k settles; scoring replays
-		// after the flush barrier, so the bits match the staged path.
-		pv := newStagedEval(e, lab, sampler, m, false, 2*stage2Batch)
-		po.PipeStats = &pipe
-		series = montecarlo.ImportanceSampleParPipelined(ctx, proposal, pv, e.Opts.NIS, po, e.Counter, e.Opts.RecordEvery)
+	po := montecarlo.ParOptions{
+		Seed:      seed2,
+		Workers:   workers,
+		Batch:     stage2Batch,
+		Flush:     lab.flushRange,
+		OnBatch:   onBatch,
+		PipeStats: &pipe,
 	}
+	sv2 := newStagedEval(e, lab, sampler, m, false, 2*stage2Batch)
+	series := montecarlo.ImportanceSamplePar(ctx, proposal, sv2, e.Opts.NIS, po, e.Counter, e.Opts.RecordEvery)
 	stage2Sims := e.Counter.Count() - stage2Start
 	if hm != nil && pipe.Batches > 0 {
 		// Wall-clock rule: flows to the observer/metrics only, never into
@@ -497,8 +370,6 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 		Classified:       atomic.LoadInt64(&e.classified) - classifiedStart,
 		RootSolves:       solves - solvesStart,
 		SolverIters:      iters - itersStart,
-		CoarseSims:       atomic.LoadInt64(&e.coarseSims) - coarseStart,
-		Escalated:        atomic.LoadInt64(&e.escalated) - escalatedStart,
 		LaneSlots:        laneSlots - laneSlotsStart,
 		LaneOccupied:     laneOcc - laneOccStart,
 		PipelinedBatches: pipe.Batches,

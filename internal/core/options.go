@@ -77,53 +77,12 @@ type Options struct {
 	Rho         float64 // defensive-mixture weight of the nominal P (default 0.1)
 	RecordEvery int     // convergence-series resolution in simulations
 
-	// AdaptiveGrid enables the tiered-fidelity indicator: each simulated
-	// sample first evaluates its margin on a coarse VTC grid (16 points per
-	// curve instead of 24) and escalates to the full grid only when the
-	// coarse margin falls inside the conservative EscalationBand around
-	// zero. The tier decision is a pure function of the shift vector, so
-	// determinism across Parallelism settings is unaffected. Default off:
-	// exact mode evaluates every sample on the full grid and is bit-
-	// identical to earlier releases.
-	AdaptiveGrid bool
-	// EscalationBand is the |margin| threshold [V] below which an adaptive
-	// sample escalates to the full grid (default 0.025 — several times the
-	// observed coarse-vs-full margin discrepancy, so label flips require a
-	// coarse error larger than the band).
-	EscalationBand float64
-
 	// IndicatorHist, when non-nil, receives the wall-clock seconds of every
 	// true-indicator evaluation (one transistor-level simulation). Purely
 	// observational: timings go only to the histogram, never into results,
 	// so determinism is unaffected. Nil (the default) costs one pointer
 	// check per call.
 	IndicatorHist *obsv.Histogram
-
-	// BatchLanes is the lockstep lane width of the batched indicator: the
-	// engine gathers the simulations deferred at each batch barrier and
-	// marches them through the SRAM solver in chunks of this many shift
-	// vectors (0 selects sram.DefaultBatchLanes). Pure grouping — labels,
-	// estimates and series are bit-identical at any width; the knob only
-	// trades kernel occupancy against per-lane cache footprint.
-	BatchLanes int
-
-	// NoPipeline disables the double-buffered stage-2 pipeline and falls
-	// back to the plain staged barrier loop of the previous release: the
-	// barrier settles completely before the next batch's draws generate.
-	// Results are bit-identical either way (the pipeline only reorders
-	// classifier-independent work), so the knob exists for A/B wall-clock
-	// comparison — make bench-scaling records both modes — and as an
-	// escape hatch on single-core hosts where the overlap cannot pay for
-	// its extra goroutine. Default off: pipelined execution.
-	NoPipeline bool
-
-	// scalarPath forces the per-sample evaluation path that predates the
-	// batched indicator: every simulate call runs its own root solves
-	// inside the worker that drew the sample. Both paths produce
-	// bit-identical results — this is the cross-check hook the staged-vs-
-	// scalar equivalence suite uses, kept unexported because there is no
-	// user-facing reason to give up the batch throughput.
-	scalarPath bool
 
 	// Parallelism is the worker-goroutine count for the engine's hot loops
 	// (boundary search, classifier warm-up, particle-filter measurement,
@@ -183,9 +142,6 @@ func (o *Options) fill() {
 	}
 	if o.Rho == 0 {
 		o.Rho = 0.1
-	}
-	if o.EscalationBand == 0 {
-		o.EscalationBand = 0.025
 	}
 	if o.Parallelism < 1 {
 		o.Parallelism = 1

@@ -331,41 +331,6 @@ func TestGMMZeroWeightComponentNeverSampled(t *testing.T) {
 	}
 }
 
-func TestNaiveParallelMatchesSerialStatistics(t *testing.T) {
-	// Same event probability, deterministic for fixed seed/workers.
-	var c1 Counter
-	trial := func(r *rand.Rand) bool { c1.Add(1); return r.NormFloat64() > 1.5 }
-	a := NaiveParallel(7, trial, 100000, 4, &c1)
-	var c2 Counter
-	trial2 := func(r *rand.Rand) bool { c2.Add(1); return r.NormFloat64() > 1.5 }
-	b := NaiveParallel(7, trial2, 100000, 4, &c2)
-	if a.P != b.P {
-		t.Fatalf("not deterministic: %v vs %v", a.P, b.P)
-	}
-	want := 0.0668072 // P(Z > 1.5)
-	if math.Abs(a.P-want) > 0.003 {
-		t.Fatalf("P = %v want %v", a.P, want)
-	}
-	if a.N != 100000 {
-		t.Fatalf("N = %d", a.N)
-	}
-}
-
-func TestNaiveParallelWorkerEdgeCases(t *testing.T) {
-	trial := func(r *rand.Rand) bool { return true }
-	var c Counter
-	// workers > n collapses to a single worker.
-	res := NaiveParallel(1, trial, 3, 100, &c)
-	if res.N != 3 || res.P != 1 {
-		t.Fatalf("edge case: %+v", res)
-	}
-	// workers = 0 uses GOMAXPROCS.
-	res = NaiveParallel(1, trial, 50, 0, &c)
-	if res.N != 50 {
-		t.Fatalf("auto workers: %+v", res)
-	}
-}
-
 func TestImportanceSampleZeroFailures(t *testing.T) {
 	// A value that never fails: the estimate is exactly 0 and the series
 	// never satisfies any relative-error target.

@@ -1,15 +1,10 @@
 package montecarlo
 
 import (
-	"context"
-	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"ecripse/internal/linalg"
-	"ecripse/internal/randx"
 	"ecripse/internal/stats"
 )
 
@@ -71,58 +66,6 @@ func ClampWorkers(workers, n int) int {
 	return workers
 }
 
-// NaiveParallel runs n naive Monte Carlo trials across workers goroutines
-// (0 = GOMAXPROCS) and merges the results. Each trial draws from its own
-// counter-based substream keyed by the global trial index, so the estimate
-// depends only on (seed, n) — bit-identical at any worker count. The trial
-// function must be safe for concurrent use (the SRAM indicator is: cells are
-// never mutated during evaluation).
-//
-// Unlike Naive, no intermediate convergence series is recorded — parallel
-// runs are for bulk reference computations where only the final estimate
-// matters.
-func NaiveParallel(seed int64, trial Trial, n, workers int, c *Counter) stats.Estimate {
-	if n <= 0 {
-		return stats.Estimate{Sims: c.Count()}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// Per-worker tallies, merged after the barrier — no shared mutable state
-	// inside the loop beyond the atomic index cursor.
-	fails := make([]int, workers)
-	streams := randx.NewStreams(seed, workers)
-	ParFor(workers, n, func(w, k int) {
-		if trial(streams.At(w, uint64(k))) {
-			fails[w]++
-		}
-	})
-	total := 0
-	for _, f := range fails {
-		total += f
-	}
-	var run stats.Running
-	for i := 0; i < total; i++ {
-		run.Add(1)
-	}
-	for i := total; i < n; i++ {
-		run.Add(0)
-	}
-	return stats.Estimate{
-		P: run.Mean(), CI95: run.CI95(), RelErr: run.RelErr(),
-		N: n, Sims: c.Count(),
-	}
-}
-
-// IndexedValue evaluates one importance-sampling draw: rng is positioned on
-// the substream of global sample index k, and x is the proposal draw made
-// from that same substream. The return is the (conditional) failure value in
-// [0, 1], as in Value.
-type IndexedValue func(rng *rand.Rand, k int, x linalg.Vector) float64
-
 // ParOptions configures ImportanceSamplePar.
 type ParOptions struct {
 	// Seed keys every per-sample substream; same seed ⇒ same result.
@@ -144,9 +87,8 @@ type ParOptions struct {
 	// barrier (single-threaded) and sees deterministic values, so it is safe
 	// to stream as a convergence diagnostic without perturbing results.
 	OnBatch func(samples int, pt stats.Point)
-	// PipeStats, if set, receives the overlap/stall tally of a pipelined
-	// run (ImportanceSampleParPipelined only). Wall-clock, observational:
-	// the drivers never read it back.
+	// PipeStats, if set, receives the run's overlap/stall tally.
+	// Wall-clock, observational: the driver never reads it back.
 	PipeStats *PipelineStats
 }
 
@@ -154,77 +96,3 @@ type ParOptions struct {
 // adapts throughout the run and budget stops stay tight, large enough that
 // barrier synchronization is noise against per-sample simulation cost.
 const DefaultBatch = 256
-
-// ImportanceSamplePar estimates E_P[value] with n draws from proposal q
-// (paper eq. (19)) evaluated in parallel batches. Sample k draws x_k and any
-// evaluation randomness from substream (Seed, k) and writes only its own
-// term slot, so the estimate — including the recorded convergence series —
-// is bit-identical for any Workers setting. Within a batch all samples see
-// the caller's state as frozen at the batch start; Flush runs at the barrier.
-//
-// Cancellation is checked at batch boundaries only: a fired context (or a
-// Counter budget, which cancels via SetLimit) lets the in-flight batch
-// complete and then returns the partial series — a deterministic stop,
-// because batch membership does not depend on scheduling.
-func ImportanceSamplePar(ctx context.Context, q Proposal, value IndexedValue, n int, po ParOptions, c *Counter, recordEvery int) stats.Series {
-	if recordEvery <= 0 {
-		recordEvery = n/50 + 1
-	}
-	batch := po.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	workers := po.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	terms := make([]float64, batch)
-	streams := randx.NewStreams(po.Seed, workers)
-	var run stats.Running
-	var series stats.Series
-	recorded := 0 // samples folded at the last recorded point
-	for lo := 0; lo < n; lo += batch {
-		if ctx.Err() != nil {
-			return finishSeries(series, &run, c)
-		}
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		ParFor(workers, hi-lo, func(w, i int) {
-			k := lo + i
-			rng := streams.At(w, uint64(k))
-			x := q.Sample(rng)
-			v := value(rng, k, x)
-			term := 0.0
-			if v > 0 {
-				logW := randx.StdNormalLogPDF(x) - q.LogPDF(x)
-				term = v * math.Exp(logW)
-			}
-			terms[i] = term
-		})
-		if po.Flush != nil {
-			po.Flush(lo, hi)
-		}
-		// Merge strictly in index order: Welford folding is floating-point
-		// order-sensitive, so this is part of the determinism contract.
-		for i := 0; i < hi-lo; i++ {
-			run.Add(terms[i])
-		}
-		// Record at batch boundaries. The simulation-count coordinate is
-		// exact here: every simulation of samples < hi has completed and
-		// none of sample >= hi has started.
-		pt := stats.Point{
-			Sims: c.Count(), P: run.Mean(), CI95: run.CI95(), RelErr: run.RelErr(), Var: run.Var(),
-		}
-		if po.OnBatch != nil {
-			po.OnBatch(hi, pt)
-		}
-		if hi/recordEvery > recorded/recordEvery || hi == n {
-			series = append(series, pt)
-		}
-		recorded = hi
-	}
-	return series
-}

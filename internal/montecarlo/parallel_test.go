@@ -51,25 +51,6 @@ func TestParForSlotDeterminism(t *testing.T) {
 	}
 }
 
-// TestNaiveParallelWorkerInvariance: the estimate must be bit-identical for
-// any worker count — the post-rework contract (the old implementation was
-// only deterministic per (seed, workers) pair).
-func TestNaiveParallelWorkerInvariance(t *testing.T) {
-	trial := func(rng *rand.Rand) bool { return rng.NormFloat64() > 1.5 }
-	var c Counter
-	want := NaiveParallel(7, trial, 20000, 1, &c)
-	for _, workers := range []int{2, 3, 8} {
-		got := NaiveParallel(7, trial, 20000, workers, &c)
-		if got.P != want.P || got.CI95 != want.CI95 || got.N != want.N {
-			t.Fatalf("workers=%d: %+v != %+v", workers, got, want)
-		}
-	}
-	// And the statistics must be right: P(Z > 1.5) ≈ 0.0668.
-	if math.Abs(want.P-0.0668) > 0.005 {
-		t.Fatalf("P = %v, want ≈ 0.0668", want.P)
-	}
-}
-
 // gaussianBump is a minimal deterministic proposal for sampler tests.
 type gaussianBump struct{ dim int }
 
@@ -89,19 +70,14 @@ func (g gaussianBump) LogPDF(x linalg.Vector) float64 {
 	return -0.5*q - 0.5*float64(g.dim)*randx.Log2Pi
 }
 
-// TestImportanceSampleParWorkerInvariance: series and estimate bit-identical
-// across worker counts, including the recorded points.
+// TestImportanceSampleParWorkerInvariance: series and estimate
+// bit-identical across worker counts, including the recorded points and
+// their simulation-count coordinates.
 func TestImportanceSampleParWorkerInvariance(t *testing.T) {
 	run := func(workers int) stats.Series {
 		var c Counter
-		value := func(rng *rand.Rand, k int, x linalg.Vector) float64 {
-			c.Add(1) // pretend every draw simulates once
-			if x.Norm() > 3 {
-				return 1
-			}
-			return 0
-		}
-		return ImportanceSamplePar(context.Background(), gaussianBump{dim: 4}, value, 3000,
+		pv := newPipelinedRule(256, &c)
+		return ImportanceSamplePar(context.Background(), gaussianBump{dim: 4}, pv, 3000,
 			ParOptions{Seed: 11, Workers: workers, Batch: 128}, &c, 500)
 	}
 	want := run(1)
@@ -115,63 +91,163 @@ func TestImportanceSampleParWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestImportanceSampleParFlushBarrier: Flush must see contiguous, in-order,
-// non-overlapping ranges covering [0, n) exactly once, after all samples of
-// the range have been evaluated.
-func TestImportanceSampleParFlushBarrier(t *testing.T) {
-	const n, batch = 1000, 128
-	var c Counter
-	done := make([]int32, n)
-	next := 0
-	value := func(rng *rand.Rand, k int, x linalg.Vector) float64 {
-		atomic.StoreInt32(&done[k], 1)
-		return 0
+// barrierProbe is a PipelinedValue that checks the driver's barrier order
+// from inside the callbacks: a sample scores only after it generated and
+// after the previous batch's Flush returned, every Score of a batch
+// precedes its Resolve, and every Value of a range precedes its Flush.
+type barrierProbe struct {
+	t         *testing.T
+	batch     int
+	generated []atomic.Bool
+	scored    []atomic.Bool
+	valued    []atomic.Bool
+	flushed   atomic.Int64    // hi of the last Flush that returned
+	genLeft   []atomic.Int32  // per batch: samples still to generate
+	genDone   []chan struct{} // per batch: closed once it has fully generated
+}
+
+func newBarrierProbe(t *testing.T, n, batch int) *barrierProbe {
+	p := &barrierProbe{t: t, batch: batch,
+		generated: make([]atomic.Bool, n), scored: make([]atomic.Bool, n), valued: make([]atomic.Bool, n)}
+	batches := (n + batch - 1) / batch
+	p.genLeft = make([]atomic.Int32, batches)
+	p.genDone = make([]chan struct{}, batches)
+	for j := range p.genDone {
+		p.genLeft[j].Store(int32(min(batch, n-j*batch)))
+		p.genDone[j] = make(chan struct{})
 	}
-	flush := func(lo, hi int) {
-		if lo != next {
-			t.Fatalf("flush [%d,%d): expected lo=%d", lo, hi, next)
+	return p
+}
+
+func (p *barrierProbe) Generate(rng *rand.Rand, k int, x linalg.Vector) {
+	p.generated[k].Store(true)
+	if j := k / p.batch; p.genLeft[j].Add(-1) == 0 {
+		close(p.genDone[j])
+	}
+}
+
+func (p *barrierProbe) Score(w, k int) {
+	if !p.generated[k].Load() {
+		p.t.Errorf("sample %d scored before it generated", k)
+	}
+	if lo := int64(k / p.batch * p.batch); p.flushed.Load() < lo {
+		p.t.Errorf("sample %d scored before the flush of [0,%d) returned (flushed %d)", k, lo, p.flushed.Load())
+	}
+	p.scored[k].Store(true)
+}
+
+// Resolve checks its batch has scored and then settles no faster than the
+// next batch generates — the driver starts that generation first, and real
+// settlement is the slower side — so a driver that scored the next batch
+// straight after generating it would do so while this batch is still
+// settling, before its Flush.
+func (p *barrierProbe) Resolve(lo, hi int) {
+	for k := lo; k < hi; k++ {
+		if !p.scored[k].Load() {
+			p.t.Fatalf("resolve [%d,%d) before sample %d scored", lo, hi, k)
+		}
+	}
+	if j := hi / p.batch; j < len(p.genDone) {
+		<-p.genDone[j]
+	}
+}
+
+func (p *barrierProbe) Value(k int, x linalg.Vector) float64 {
+	p.valued[k].Store(true)
+	return 0
+}
+
+// flush checks the range, that the next batch has not scored yet, and
+// then records the barrier as returned.
+func (p *barrierProbe) flush(next *int) func(lo, hi int) {
+	return func(lo, hi int) {
+		if lo != *next {
+			p.t.Fatalf("flush [%d,%d): expected lo=%d", lo, hi, *next)
 		}
 		for k := lo; k < hi; k++ {
-			if atomic.LoadInt32(&done[k]) != 1 {
-				t.Fatalf("flush [%d,%d): sample %d not evaluated yet", lo, hi, k)
+			if !p.valued[k].Load() {
+				p.t.Fatalf("flush [%d,%d): sample %d not valued yet", lo, hi, k)
 			}
 		}
-		next = hi
+		for k := hi; k < min(hi+p.batch, len(p.scored)); k++ {
+			if p.scored[k].Load() {
+				p.t.Errorf("sample %d scored before the flush of [0,%d) returned", k, hi)
+				break
+			}
+		}
+		*next = hi
+		p.flushed.Store(int64(hi))
 	}
-	ImportanceSamplePar(context.Background(), gaussianBump{dim: 2}, value, n,
-		ParOptions{Seed: 1, Workers: 4, Batch: batch, Flush: flush}, &c, 0)
-	if next != n {
-		t.Fatalf("flush covered [0,%d), want [0,%d)", next, n)
+}
+
+// TestImportanceSampleParFlushBarrier: Flush must see contiguous, in-order,
+// non-overlapping ranges covering [0, n) exactly once, after every sample of
+// the range has been valued; the next batch may generate early but scores
+// only after that Flush returns, and a batch resolves only once all of it
+// has scored.
+func TestImportanceSampleParFlushBarrier(t *testing.T) {
+	const n, batch = 1000, 128
+	for _, workers := range []int{1, 4} {
+		var c Counter
+		p := newBarrierProbe(t, n, batch)
+		next := 0
+		ImportanceSamplePar(context.Background(), gaussianBump{dim: 2}, p, n,
+			ParOptions{Seed: 1, Workers: workers, Batch: batch, Flush: p.flush(&next)}, &c, 0)
+		if next != n {
+			t.Fatalf("workers=%d: flush covered [0,%d), want [0,%d)", workers, next, n)
+		}
 	}
 }
 
 // TestImportanceSampleParCancellation: a cancelled context stops the run at
 // a batch boundary with a partial, finishable series.
 func TestImportanceSampleParCancellation(t *testing.T) {
+	const n, batch = 100000, 64
 	var c Counter
 	ctx, cancel := context.WithCancel(context.Background())
-	evals := int32(0)
-	value := func(rng *rand.Rand, k int, x linalg.Vector) float64 {
-		if atomic.AddInt32(&evals, 1) == 200 {
+	var evals atomic.Int32
+	pv := &hookedRule{pipelinedRule: newPipelinedRule(2*batch, &c), onValue: func() {
+		if evals.Add(1) == 200 {
 			cancel()
 		}
-		c.Add(1)
-		return 1
-	}
-	series := ImportanceSamplePar(ctx, gaussianBump{dim: 2}, value, 100000,
-		ParOptions{Seed: 5, Workers: 4, Batch: 64}, &c, 0)
-	total := atomic.LoadInt32(&evals)
-	if total >= 100000 {
+	}}
+	series := ImportanceSamplePar(ctx, gaussianBump{dim: 2}, pv, n,
+		ParOptions{Seed: 5, Workers: 4, Batch: batch}, &c, 0)
+	total := evals.Load()
+	if total >= n {
 		t.Fatal("cancellation did not stop the run")
 	}
 	// The in-flight batch completes, so the evaluation count lands on a
 	// batch boundary — the deterministic-stop property.
-	if total%64 != 0 {
+	if total%batch != 0 {
 		t.Fatalf("stopped mid-batch after %d evaluations", total)
 	}
 	if len(series) == 0 {
 		t.Fatal("partial run recorded no series")
 	}
+	if fin := series.Final(); fin.Sims != int64(total) {
+		t.Fatalf("final point at %d sims, want the %d settled samples", fin.Sims, total)
+	}
+}
+
+// hookedRule is a pipelinedRule with optional per-call hooks.
+type hookedRule struct {
+	*pipelinedRule
+	onGenerate, onValue func()
+}
+
+func (s *hookedRule) Generate(rng *rand.Rand, k int, x linalg.Vector) {
+	if s.onGenerate != nil {
+		s.onGenerate()
+	}
+	s.pipelinedRule.Generate(rng, k, x)
+}
+
+func (s *hookedRule) Value(k int, x linalg.Vector) float64 {
+	if s.onValue != nil {
+		s.onValue()
+	}
+	return s.pipelinedRule.Value(k, x)
 }
 
 // TestGMMLogPDFConcurrent exercises the lazy prepare() from many goroutines;

@@ -13,13 +13,14 @@ import (
 	"ecripse/internal/stats"
 )
 
-// PipelinedValue splits StagedValue's Prepare into the two halves the
-// double-buffered driver overlaps:
+// PipelinedValue is the per-sample evaluation contract of
+// ImportanceSamplePar, split so a batch's expensive indicator evaluations
+// settle together at the barrier and the next batch's classifier-free work
+// overlaps that settlement:
 //
-//   - Generate(rng, k, x) is the classifier-independent half: it must
-//     consume exactly the randomness Prepare would for sample k (so the
-//     staged and pipelined paths stay bit-identical) and stage the sample's
-//     raw draws in slot k — but it must not read any state that a flush
+//   - Generate(rng, k, x) is the classifier-independent half: it consumes
+//     sample k's evaluation randomness from rng and stages the sample's raw
+//     draws in slot k — but it must not read any state that a flush
 //     barrier mutates. It runs concurrently with the previous batch's
 //     Resolve/Value/Flush, so this restriction is load-bearing.
 //   - Score(w, k) is the classifier-dependent half: it labels sample k's
@@ -27,11 +28,15 @@ import (
 //     classifying what it can and parking the rest for Resolve. w is the
 //     worker index (for per-worker scratch); distinct k are scored
 //     concurrently, always after the barrier that precedes their batch.
+//   - Resolve(lo, hi) runs single-threaded at the barrier after every
+//     sample of [lo, hi) has been scored; it settles the parked draws —
+//     typically one batched indicator sweep — and banks the labels.
+//   - Value(k, x) assembles sample k's value in [0, 1] from the banked
+//     labels; it must be safe to call concurrently for distinct k.
 //
-// Resolve and Value keep the StagedValue contract. A batch's slots must
-// survive one extra barrier window: the ring a PipelinedValue sizes has to
-// span two batches, because batch k+1 generates while batch k is still
-// being read.
+// A batch's slots must survive one extra barrier window: the ring a
+// PipelinedValue sizes has to span two batches, because batch k+1
+// generates while batch k is still being read.
 type PipelinedValue interface {
 	Generate(rng *rand.Rand, k int, x linalg.Vector)
 	Score(w, k int)
@@ -105,27 +110,32 @@ func recordPipelineTotals(p PipelineStats) {
 	totalPipeline.settle.Add(p.SettleNS)
 }
 
-// ImportanceSampleParPipelined is ImportanceSampleParStaged with the batch
-// barrier double-buffered: while batch k's deferred indicator work settles
-// (Resolve), its terms assemble and its classifier updates replay, the
-// workers are already generating batch k+1's proposal draws and staging
-// their evaluation points — a pure function of (Seed, sample index), which
-// is why it may run before the barrier lands. Scoring of batch k+1
-// happens only after batch k's Flush, exactly where the staged driver
-// would run it, so the estimate, the recorded series and every classifier
-// decision are bit-identical to the staged (and scalar) drivers at any
-// Workers setting.
+// ImportanceSamplePar estimates E_P[value] with n draws from proposal q
+// (paper eq. (19)) in barrier batches, double-buffered: while batch k's
+// deferred indicator work settles (Resolve), its terms assemble and its
+// classifier updates replay (Flush), the workers are already generating
+// batch k+1's proposal draws and staging their evaluation points — a pure
+// function of (Seed, sample index), which is why it may run before the
+// barrier lands. Scoring of batch k+1 happens only after batch k's Flush,
+// so every decision sees state frozen at its batch start. Sample k draws
+// x_k and all evaluation randomness from substream (Seed, k), and terms
+// fold in index order, so the estimate and the recorded series are
+// bit-identical at any Workers setting.
 //
 // The importance weight exp(log φ(x) − log q(x)) is evaluated lazily on
-// the settle side, only for samples whose value is positive — exactly as
-// the staged driver does. Hoisting it into generation would be
-// bit-identical too, but it would evaluate the proposal log-density for
-// every draw instead of the positive few, and that extra work costs more
-// than the overlap hides on most workloads.
+// the settle side, only for samples whose value is positive: hoisting it
+// into generation would evaluate the proposal log-density for every draw
+// instead of the positive few, and that extra work costs more than the
+// overlap hides on most workloads.
+//
+// Cancellation is checked at batch boundaries only: a fired context (or a
+// Counter budget, which cancels via SetLimit) lets the in-flight batch
+// complete and then returns the partial series — a deterministic stop,
+// because batch membership does not depend on scheduling.
 //
 // Overlap accounting lands in po.PipeStats when set, and always in the
 // process-wide TotalPipelineStats totals.
-func ImportanceSampleParPipelined(ctx context.Context, q Proposal, pv PipelinedValue, n int, po ParOptions, c *Counter, recordEvery int) stats.Series {
+func ImportanceSamplePar(ctx context.Context, q Proposal, pv PipelinedValue, n int, po ParOptions, c *Counter, recordEvery int) stats.Series {
 	if recordEvery <= 0 {
 		recordEvery = n/50 + 1
 	}
@@ -251,9 +261,14 @@ func ImportanceSampleParPipelined(ctx context.Context, q Proposal, pv PipelinedV
 		if po.Flush != nil {
 			po.Flush(lo, hi)
 		}
+		// Merge strictly in index order: Welford folding is floating-point
+		// order-sensitive, so this is part of the determinism contract.
 		for i := 0; i < hi-lo; i++ {
 			run.Add(terms[i])
 		}
+		// The simulation-count coordinate is exact here: every simulation
+		// of samples < hi has settled, and generation of the next batch
+		// simulates nothing.
 		pt := stats.Point{
 			Sims: c.Count(), P: run.Mean(), CI95: run.CI95(), RelErr: run.RelErr(), Var: run.Var(),
 		}

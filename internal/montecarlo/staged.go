@@ -2,113 +2,10 @@ package montecarlo
 
 import (
 	"context"
-	"math"
 	"math/rand"
-	"runtime"
 
-	"ecripse/internal/linalg"
-	"ecripse/internal/randx"
 	"ecripse/internal/stats"
 )
-
-// StagedValue is the batched counterpart of IndexedValue: the per-sample
-// evaluation is split so the expensive indicator evaluations of a whole
-// barrier batch can be settled together (and marched through the lockstep
-// SRAM solver) instead of one latency chain at a time.
-//
-//   - Prepare(rng, k, x) runs in parallel, one call per sample: it must
-//     consume exactly the randomness the scalar evaluation would (so the
-//     two paths stay bit-identical), decide which draws it can answer from
-//     frozen adaptive state, and park the rest in sample k's slot.
-//   - Resolve(lo, hi) runs single-threaded at the barrier after every
-//     sample of [lo, hi) has been prepared; it settles the parked draws —
-//     typically one batched indicator sweep — and banks the labels.
-//   - Value(k, x) assembles sample k's value in [0, 1] from the banked
-//     labels; it must be safe to call concurrently for distinct k.
-//
-// The contract mirrors the engine's batch-barrier discipline: within a
-// batch, decisions see adaptive state frozen at the batch start, and any
-// state mutation is the caller's to replay in index order at its flush
-// barrier.
-type StagedValue interface {
-	Prepare(rng *rand.Rand, k int, x linalg.Vector)
-	Resolve(lo, hi int)
-	Value(k int, x linalg.Vector) float64
-}
-
-// ImportanceSampleParStaged is ImportanceSamplePar with the per-sample
-// evaluation routed through a StagedValue, so each barrier batch settles
-// its deferred indicator evaluations in bulk. Sample k draws x_k and all
-// evaluation randomness from substream (Seed, k) exactly as the scalar
-// path does, and terms fold in index order — the estimate and recorded
-// series are bit-identical to ImportanceSamplePar over an IndexedValue
-// that implements the same evaluation rule, at any Workers setting.
-func ImportanceSampleParStaged(ctx context.Context, q Proposal, sv StagedValue, n int, po ParOptions, c *Counter, recordEvery int) stats.Series {
-	if recordEvery <= 0 {
-		recordEvery = n/50 + 1
-	}
-	batch := po.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	workers := po.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	terms := make([]float64, batch)
-	xs := make([]linalg.Vector, batch)
-	streams := randx.NewStreams(po.Seed, workers)
-	var run stats.Running
-	var series stats.Series
-	recorded := 0
-	for lo := 0; lo < n; lo += batch {
-		if ctx.Err() != nil {
-			return finishSeries(series, &run, c)
-		}
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		ParFor(workers, hi-lo, func(w, i int) {
-			k := lo + i
-			rng := streams.At(w, uint64(k))
-			x := q.Sample(rng)
-			xs[i] = x
-			sv.Prepare(rng, k, x)
-		})
-		sv.Resolve(lo, hi)
-		// Terms are slot writes, so the weight evaluation (the proposal
-		// log-density is not free) stays parallel; the fold below is what
-		// must run in index order.
-		ParFor(workers, hi-lo, func(w, i int) {
-			v := sv.Value(lo+i, xs[i])
-			term := 0.0
-			if v > 0 {
-				logW := randx.StdNormalLogPDF(xs[i]) - q.LogPDF(xs[i])
-				term = v * math.Exp(logW)
-			}
-			terms[i] = term
-		})
-		if po.Flush != nil {
-			po.Flush(lo, hi)
-		}
-		for i := 0; i < hi-lo; i++ {
-			run.Add(terms[i])
-		}
-		pt := stats.Point{
-			Sims: c.Count(), P: run.Mean(), CI95: run.CI95(), RelErr: run.RelErr(), Var: run.Var(),
-		}
-		if po.OnBatch != nil {
-			po.OnBatch(hi, pt)
-		}
-		if hi/recordEvery > recorded/recordEvery || hi == n {
-			series = append(series, pt)
-		}
-		recorded = hi
-	}
-	return series
-}
 
 // NaiveBatched runs n naive Monte Carlo trials with the indicator
 // evaluations settled in batches: draw(rng, slot) stages trial i's sample

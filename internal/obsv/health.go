@@ -8,10 +8,10 @@
 //
 // Determinism contract: every rule except the pipeline-stall rule is a pure
 // function of scheduling-independent diagnostics, so the Report() that lands
-// in a cached result is bit-identical at any parallelism and on every
-// stage-2 execution path. Wall-clock-derived verdicts NEVER enter Report():
-// they only fire the observer callback and are listed separately by
-// WallViolations(), keeping the content-addressed result cache honest.
+// in a cached result is bit-identical at any parallelism. Wall-clock-derived
+// verdicts NEVER enter Report(): they only fire the observer callback and
+// are listed separately by WallViolations(), keeping the content-addressed
+// result cache honest.
 package obsv
 
 import (

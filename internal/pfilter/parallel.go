@@ -9,61 +9,41 @@ import (
 	"ecripse/internal/randx"
 )
 
-// ParWeight scores a candidate particle like Weight, but under the
-// deterministic-parallel contract: rng is positioned on the substream of the
-// candidate's global index idx, and the function must be safe to call
-// concurrently for distinct indices (any stateful labeling is deferred to
-// the caller's flush barrier).
-type ParWeight func(rng *rand.Rand, idx int, x linalg.Vector) float64
-
-// BoundaryInitPar is BoundaryInit evaluated across workers goroutines: each
-// direction draws from its own (seed, direction-index) substream and
-// bisects independently, and the found boundary points are kept in
-// direction order — so the result depends only on seed, not on the worker
-// count or scheduling. fails must be safe for concurrent use.
-func BoundaryInitPar(seed int64, dim, directions int, rmax, rtol float64, fails func(linalg.Vector) bool, workers int) []linalg.Vector {
-	if rtol <= 0 {
-		rtol = 0.05
-	}
-	workers = montecarlo.ClampWorkers(workers, directions)
-	found := make([]linalg.Vector, directions)
-	streams := randx.NewStreams(seed, workers)
-	montecarlo.ParFor(workers, directions, func(w, k int) {
-		rng := streams.At(w, uint64(k))
-		d := randx.SphereDirection(rng, dim)
-		if !fails(d.Scale(rmax)) {
-			return
-		}
-		lo, hi := 0.0, rmax
-		for hi-lo > rtol {
-			mid := 0.5 * (lo + hi)
-			if fails(d.Scale(mid)) {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		found[k] = d.Scale(hi) // just inside the failure region
-	})
-	out := make([]linalg.Vector, 0, directions)
-	for _, p := range found {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
+// StagedValue is the measurement contract of a StepPar round: the
+// per-candidate evaluation is split so the expensive indicator evaluations
+// of the whole round settle together, marched through the lockstep SRAM
+// solver, instead of one latency chain at a time.
+//
+//   - Prepare(w, rng, idx, x) runs in parallel, one call per candidate, on
+//     worker w (for per-worker scratch): it consumes the candidate's
+//     evaluation randomness from rng, decides which draws it can answer
+//     from frozen adaptive state, and parks the rest in slot idx.
+//   - Resolve(lo, hi) runs single-threaded once every candidate of
+//     [lo, hi) has been prepared; it settles the parked draws — typically
+//     one batched indicator sweep — and banks the labels.
+//   - Value(idx, x) assembles the candidate's weight from the banked
+//     labels; it must be safe to call concurrently for distinct idx.
+//
+// Within a round every decision sees adaptive state frozen at the round
+// start; any state mutation is the caller's to replay in index order at
+// its flush barrier.
+type StagedValue interface {
+	Prepare(w int, rng *rand.Rand, idx int, x linalg.Vector)
+	Resolve(lo, hi int)
+	Value(idx int, x linalg.Vector) float64
 }
 
-// BoundaryInitBatch is BoundaryInitPar with the indicator calls gathered
-// into lockstep batches: all directions march their bisections in step,
-// and every step labels one point per still-bisecting direction through a
-// single failsBatch call — which the engine answers with its batched
-// margin solver. Direction draws replicate BoundaryInitPar's substreams
-// and bisection decisions depend only on each direction's own labels, so
-// the boundary points (and the total number of indicator evaluations) are
-// identical to BoundaryInitPar with the same seed. failsBatch must write
-// out[i] for pts[i]; it is always called single-threaded.
-func BoundaryInitBatch(seed int64, dim, directions int, rmax, rtol float64, failsBatch func(pts []linalg.Vector, out []bool), workers int) []linalg.Vector {
+// BoundaryInitPar is BoundaryInit with the directions drawn in parallel and
+// the indicator calls gathered into lockstep batches: direction k draws from
+// its own (seed, k) substream, all directions march their bisections in
+// step, and every step labels one point per still-bisecting direction
+// through a single failsBatch call — which the engine answers with its
+// batched margin solver. Bisection decisions depend only on each
+// direction's own labels, and the found boundary points are kept in
+// direction order, so the result depends only on seed, not on the worker
+// count. failsBatch must write out[i] for pts[i]; it is always called
+// single-threaded.
+func BoundaryInitPar(seed int64, dim, directions int, rmax, rtol float64, failsBatch func(pts []linalg.Vector, out []bool), workers int) []linalg.Vector {
 	if rtol <= 0 {
 		rtol = 0.05
 	}
@@ -75,7 +55,7 @@ func BoundaryInitBatch(seed int64, dim, directions int, rmax, rtol float64, fail
 	})
 
 	// Ring probe at rmax: directions that pass there have no bracketed
-	// boundary and drop out, exactly as in the scalar walk.
+	// boundary and drop out.
 	pts := make([]linalg.Vector, directions)
 	outs := make([]bool, directions)
 	for k, d := range dirs {
@@ -92,8 +72,8 @@ func BoundaryInitBatch(seed int64, dim, directions int, rmax, rtol float64, fail
 
 	// Lockstep bisection. The interval halves identically everywhere, but
 	// the loop keeps a per-direction width test anyway so floating-point
-	// drift between directions can never desynchronize it from the scalar
-	// per-direction loop.
+	// drift between directions can never change a direction's own
+	// stopping point.
 	stage := make([]int, 0, directions)
 	for {
 		stage = stage[:0]
@@ -131,16 +111,18 @@ func BoundaryInitBatch(seed int64, dim, directions int, rmax, rtol float64, fail
 // StepPar advances every filter one prediction/measurement/resampling round
 // with the measurement step parallelized across workers goroutines. Each
 // candidate carries a global index (filter-major order across the whole
-// ensemble); its prediction draw and weight evaluation come from substream
-// (seed, index), and results land in index slots — so one round is
+// ensemble); its prediction draw and the label decisions of sv.Prepare come
+// from substream (seed, index), the deferred indicator evaluations of the
+// whole round settle in one sv.Resolve barrier, and the weights (eq. (16))
+// assemble from the banked labels into index slots — so one round is
 // bit-identical for any worker count. After the measurement barrier, flush
 // (if non-nil) is called with the number of candidates scored, letting the
 // caller apply deferred classifier updates in index order; resampling then
 // consumes substreams at indices ≥ that count, one per filter.
 //
-// Within a round, every weight evaluation sees the caller's adaptive state
+// Within a round, every label decision sees the caller's adaptive state
 // frozen at the round start — the round is one batch.
-func (e *Ensemble) StepPar(seed int64, weight ParWeight, flush func(scored int), workers int) []StepRecord {
+func (e *Ensemble) StepPar(seed int64, sv StagedValue, flush func(scored int), workers int) []StepRecord {
 	offs := make([]int, len(e.filters)+1)
 	for fi, f := range e.filters {
 		offs[fi+1] = offs[fi] + len(f)
@@ -166,45 +148,7 @@ func (e *Ensemble) StepPar(seed int64, weight ParWeight, flush func(scored int),
 			x[d] = base[d] + e.opts.KernelStd*rng.NormFloat64()
 		}
 		cands[idx] = x
-		ws[idx] = weight(rng, idx, x) // Measurement (eq. (16))
-	})
-	if flush != nil {
-		flush(total)
-	}
-	return e.resampleTail(seed, offs, cands, ws)
-}
-
-// StepParStaged is StepPar with the measurement step routed through a
-// montecarlo.StagedValue: prediction draws and label decisions run in
-// parallel per candidate substream exactly as in StepPar, the deferred
-// indicator evaluations of the whole round settle in one Resolve barrier,
-// and the weights assemble from the banked labels. One round is
-// bit-identical to StepPar over a ParWeight implementing the same rule.
-func (e *Ensemble) StepParStaged(seed int64, sv montecarlo.StagedValue, flush func(scored int), workers int) []StepRecord {
-	offs := make([]int, len(e.filters)+1)
-	for fi, f := range e.filters {
-		offs[fi+1] = offs[fi] + len(f)
-	}
-	total := offs[len(e.filters)]
-	workers = montecarlo.ClampWorkers(workers, total)
-
-	cands := make([]linalg.Vector, total)
-	ws := make([]float64, total)
-	streams := randx.NewStreams(seed, workers)
-	montecarlo.ParFor(workers, total, func(w, idx int) {
-		fi := 0
-		for offs[fi+1] <= idx {
-			fi++
-		}
-		particles := e.filters[fi]
-		rng := streams.At(w, uint64(idx))
-		base := particles[rng.Intn(len(particles))]
-		x := make(linalg.Vector, len(base))
-		for d := range x {
-			x[d] = base[d] + e.opts.KernelStd*rng.NormFloat64()
-		}
-		cands[idx] = x
-		sv.Prepare(rng, idx, x)
+		sv.Prepare(w, rng, idx, x)
 	})
 	sv.Resolve(0, total)
 	montecarlo.ParFor(workers, total, func(w, idx int) {
@@ -216,10 +160,10 @@ func (e *Ensemble) StepParStaged(seed int64, sv montecarlo.StagedValue, flush fu
 	return e.resampleTail(seed, offs, cands, ws)
 }
 
-// resampleTail is the shared post-measurement half of a round: per-filter
+// resampleTail is the post-measurement half of a StepPar round: per-filter
 // systematic resampling from the scored candidates, record assembly, and
 // pooling of the positively-weighted candidates. Deterministic given
-// (seed, offs, cands, ws) — both Step variants feed it identical inputs.
+// (seed, offs, cands, ws).
 func (e *Ensemble) resampleTail(seed int64, offs []int, cands []linalg.Vector, ws []float64) []StepRecord {
 	total := offs[len(e.filters)]
 	records := make([]StepRecord, len(e.filters))

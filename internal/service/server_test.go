@@ -298,8 +298,24 @@ func TestServerBackpressureAndErrors(t *testing.T) {
 	if _, status = postJob(t, ts.URL, `{"estimator": "quantum"}`); status != http.StatusBadRequest {
 		t.Fatalf("invalid estimator: status = %d, want 400", status)
 	}
-	if _, status = postJob(t, ts.URL, `{"nope": 1}`); status != http.StatusBadRequest {
-		t.Fatalf("unknown field: status = %d, want 400", status)
+	// Unknown fields → 400 naming the field, as a job, a batch and a sweep
+	// base alike (adaptive_grid is a removed spec field).
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/jobs", `{"nope": 1}`, "nope"},
+		{"/v1/jobs", `{"adaptive_grid": true}`, "adaptive_grid"},
+		{"/v1/jobs:batch", `[{"adaptive_grid": true}]`, "adaptive_grid"},
+		{"/v1/sweeps", `{"base": {"adaptive_grid": true}}`, "adaptive_grid"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.field) {
+			t.Fatalf("unknown field %q on %s: status = %d, body %s; want 400 naming the field",
+				tc.field, tc.path, resp.StatusCode, body)
+		}
 	}
 
 	// Unknown job → 404.

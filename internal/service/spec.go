@@ -67,12 +67,6 @@ type JobSpec struct {
 	M int `json:"m,omitempty"`
 	// NoClassifier disables the SVM blockade of the ecripse estimator.
 	NoClassifier bool `json:"no_classifier,omitempty"`
-	// AdaptiveGrid enables the ecripse estimator's tiered-fidelity
-	// indicator: coarse-grid margins answer most samples and only near-zero
-	// margins escalate to the full grid. It changes which solver tier
-	// produces each label, so — unlike Parallelism — it is part of the
-	// cache key.
-	AdaptiveGrid bool `json:"adaptive_grid,omitempty"`
 	// MaxSims optionally bounds the transistor-level simulations; the job
 	// stops cleanly at the budget and reports the partial series.
 	MaxSims int64 `json:"max_sims,omitempty"`
@@ -88,7 +82,7 @@ type JobSpec struct {
 	// The sweep planner sets it to chain adjacent grid points; it requires
 	// estimator=ecripse and a 64-hex content key whose result must already be
 	// resolvable when the job runs. Warm seeding changes the engine's
-	// randomness consumption, so — like adaptive_grid — it is part of the
+	// randomness consumption, so — unlike Parallelism — it is part of the
 	// cache key: a warm point's key transitively encodes its whole
 	// predecessor chain.
 	WarmIn string `json:"warm_in,omitempty"`
@@ -197,9 +191,6 @@ func (s *JobSpec) Normalize() error {
 	}
 	if s.NoClassifier && s.Estimator != EstECRIPSE {
 		return fmt.Errorf("spec: no_classifier applies to estimator=ecripse only")
-	}
-	if s.AdaptiveGrid && s.Estimator != EstECRIPSE {
-		return fmt.Errorf("spec: adaptive_grid applies to estimator=ecripse only")
 	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("spec: negative parallelism")
