@@ -160,7 +160,6 @@ func main() {
 	}
 	api := service.NewServer(svc)
 	api.MaxBodyBytes = *maxBody
-	api.Tenants = tenants
 
 	handler := http.Handler(api)
 	if len(peers) > 0 {

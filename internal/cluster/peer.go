@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"ecripse/internal/service"
 )
@@ -267,11 +266,4 @@ func (t *target) proxy(w http.ResponseWriter, r *http.Request, path string) erro
 			return nil // io.EOF or upstream close: stream is over either way
 		}
 	}
-}
-
-// defaultHTTPClient is the transport used for shard traffic when the caller
-// does not supply one. Short timeouts: shards are LAN peers and every router
-// request is retried by clients, so failing fast beats queueing.
-func defaultHTTPClient() *http.Client {
-	return &http.Client{Timeout: 30 * time.Second}
 }

@@ -748,7 +748,7 @@ func TestClusterSweepTracePropagation(t *testing.T) {
 		TraceID string `json:"trace_id"`
 	}
 	owner := n1.fix
-	if sweepShardPrefix(sv.ID) == n2.fix.name {
+	if shardPrefix(sv.ID) == n2.fix.name {
 		owner = n2.fix
 	}
 	if st := getJSON(t, owner.srv.URL+"/v1/sweeps/"+sv.ID+"/trace", "", &direct); st != http.StatusOK {

@@ -67,15 +67,13 @@ func TestServerBatchEndpoint(t *testing.T) {
 }
 
 func TestServerBatchAtomicRateLimit(t *testing.T) {
-	svc := New(Config{Workers: 2, QueueCapacity: 32, RunFunc: instantRun})
-	defer svc.Drain(context.Background())
 	ts, err := NewTenants([]TenantConfig{{Key: "k", Name: "acme", RatePerSec: 1, Burst: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := NewServer(svc)
-	api.Tenants = ts
-	srv := httptest.NewServer(api)
+	svc := New(Config{Workers: 2, QueueCapacity: 32, RunFunc: instantRun, Tenants: ts})
+	defer svc.Drain(context.Background())
+	srv := httptest.NewServer(NewServer(svc))
 	defer srv.Close()
 
 	// 3 specs against a burst of 2: the whole batch answers 429 with a
@@ -167,7 +165,7 @@ func TestRemoteCacheReadThrough(t *testing.T) {
 	defer peer.Drain(context.Background())
 
 	spec := JobSpec{Seed: 42}
-	j, err := peer.Submit(spec)
+	j, err := peer.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("peer submit: %v", err)
 	}
@@ -195,7 +193,7 @@ func TestRemoteCacheReadThrough(t *testing.T) {
 	})
 	defer local.Drain(context.Background())
 
-	j2, err := local.Submit(spec)
+	j2, err := local.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("local submit: %v", err)
 	}
@@ -219,7 +217,7 @@ func TestRemoteCacheReadThrough(t *testing.T) {
 
 	// The adopted payload is now served from the local cache too: the next
 	// identical submit must not consult the peer again.
-	j3, err := local.Submit(spec)
+	j3, err := local.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("repeat local submit: %v", err)
 	}
@@ -234,7 +232,7 @@ func TestRemoteCacheReadThrough(t *testing.T) {
 func TestNodeIDNamespacesJobIDs(t *testing.T) {
 	svc := New(Config{Workers: 1, QueueCapacity: 4, NodeID: "s7", RunFunc: instantRun})
 	defer svc.Drain(context.Background())
-	j, err := svc.Submit(JobSpec{Seed: 1})
+	j, err := svc.Submit(context.Background(), JobSpec{Seed: 1})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

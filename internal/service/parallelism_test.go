@@ -50,7 +50,7 @@ func TestSubmitCapsParallelism(t *testing.T) {
 	defer svc.Drain(context.Background())
 
 	for _, req := range []int{0, 1, 2, 64} {
-		j, err := svc.Submit(JobSpec{Parallelism: req})
+		j, err := svc.Submit(context.Background(), JobSpec{Parallelism: req})
 		if err != nil {
 			t.Fatalf("submit parallelism=%d: %v", req, err)
 		}

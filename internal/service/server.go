@@ -42,11 +42,13 @@ func isForwarded(r *http.Request) bool { return r.Header.Get(ForwardedHeader) !=
 //	GET    /metrics             expvar-style JSON (?format=prometheus for text exposition)
 //	GET    /healthz             liveness (503 while draining)
 //
-// With Tenants configured, /v1/* requests (except /v1/cache/, whose sha-256
-// keys are capabilities — intra-cluster peers present no API key) require a
-// valid API key and submits are charged against the tenant's token bucket
-// and quotas; rejections answer 429 with a Retry-After header. Submit
-// bodies beyond MaxBodyBytes answer 413.
+// Jobs and sweeps share one lifecycle, so one get, list, cancel, events and
+// trace handler each serves both collections. With Config.Tenants set on
+// the service, /v1/* requests (except /v1/cache/, whose sha-256 keys are
+// capabilities — intra-cluster peers present no API key) require a valid
+// API key and submits are charged against the tenant's token bucket and
+// quotas; rejections answer 429 with a Retry-After header. Submit bodies
+// beyond MaxBodyBytes answer 413.
 type Server struct {
 	svc *Service
 	mux *http.ServeMux
@@ -62,10 +64,6 @@ type Server struct {
 	// MaxBatchJobs caps the spec count of one POST /v1/jobs:batch request
 	// (default DefaultMaxBatchJobs).
 	MaxBatchJobs int
-
-	// Tenants enables API-key auth and fairness enforcement. Nil (the
-	// default) keeps the service open, exactly as before.
-	Tenants *Tenants
 }
 
 // DefaultMaxBodyBytes bounds one submit body. Specs are small (a custom
@@ -76,34 +74,72 @@ const DefaultMaxBodyBytes = 1 << 20
 // DefaultMaxBatchJobs bounds one batch submission.
 const DefaultMaxBatchJobs = 1024
 
+// resource is what the per-ID routes serve: a job or a sweep.
+type resource interface {
+	Cancel() bool
+	Done() <-chan struct{}
+	State() State
+	DiagSince(cursor uint64) ([]DiagEvent, uint64, uint64)
+	view(detail bool) any
+	progress() any
+	sseName(kind string) string
+	traceSpans(*Service) (string, []obsv.SpanView)
+}
+
+// collection is one kind's lookup and listing.
+type collection struct {
+	get  func(id string) (resource, error)
+	list func() []resource
+}
+
+func collectionOf[T resource](get func(string) (T, error), list func() []T) collection {
+	return collection{
+		get: func(id string) (resource, error) {
+			v, err := get(id)
+			if err != nil {
+				return nil, err
+			}
+			return v, nil
+		},
+		list: func() []resource {
+			items := list()
+			out := make([]resource, len(items))
+			for i, v := range items {
+				out[i] = v
+			}
+			return out
+		},
+	}
+}
+
 // NewServer wires the routes for the service.
 func NewServer(svc *Service) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux(), EventInterval: 250 * time.Millisecond}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/trace", s.handleSweepTrace)
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
+	for path, c := range map[string]collection{
+		"/v1/jobs":   collectionOf(svc.Get, svc.Jobs),
+		"/v1/sweeps": collectionOf(svc.GetSweep, svc.Sweeps),
+	} {
+		s.mux.HandleFunc("GET "+path, s.handleList(c))
+		s.mux.HandleFunc("GET "+path+"/{id}", s.handleGet(c))
+		s.mux.HandleFunc("GET "+path+"/{id}/events", s.handleEvents(c))
+		s.mux.HandleFunc("GET "+path+"/{id}/trace", s.handleTrace(c))
+		s.mux.HandleFunc("DELETE "+path+"/{id}", s.handleCancel(c))
+	}
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheLookup)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	return s
 }
 
-// ServeHTTP implements http.Handler: authenticate /v1/* (when tenants are
-// configured), then dispatch.
+// ServeHTTP implements http.Handler: authenticate /v1/* (when the service
+// has tenants), then dispatch.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.Tenants != nil && strings.HasPrefix(r.URL.Path, "/v1/") &&
+	if ts := s.svc.cfg.Tenants; ts != nil && strings.HasPrefix(r.URL.Path, "/v1/") &&
 		!strings.HasPrefix(r.URL.Path, "/v1/cache/") {
-		t, err := s.Tenants.Authenticate(r)
+		t, err := ts.Authenticate(r)
 		if err != nil {
 			writeError(w, http.StatusUnauthorized, err.Error())
 			return
@@ -118,15 +154,48 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// limitBody applies the configured request-body cap.
-func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
+// DecodeBody reads one JSON request body into v, refusing unknown fields
+// and bodies over limit bytes (limit <= 0 disables the cap). On failure it
+// answers 413 or 400, naming what it was reading, and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	if limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("%s exceeds the %d-byte body limit", what, mbe.Limit))
+			return false
+		}
+		writeError(w, http.StatusBadRequest, "decode "+what+": "+err.Error())
+		return false
+	}
+	return true
+}
+
+// decode applies DecodeBody under the configured body cap.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	limit := s.MaxBodyBytes
 	if limit == 0 {
 		limit = DefaultMaxBodyBytes
 	}
-	if limit > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	return DecodeBody(w, r, limit, what, v)
+}
+
+// admit charges the request's tenant n submits, unless a cluster peer
+// already did; false means the refusal has been answered.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
+	if isForwarded(r) {
+		return true
 	}
+	if err := s.svc.cfg.Tenants.Acquire(TenantFrom(r.Context()), n); err != nil {
+		writeError(w, submitErrStatus(w, err), err.Error())
+		return false
+	}
+	return true
 }
 
 // submitErrStatus maps a decode or Submit error onto its response, setting
@@ -169,28 +238,11 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("spec exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode spec: "+err.Error())
+	if !s.decode(w, r, "spec", &spec) || !s.admit(w, r, 1) {
 		return
 	}
-	tenant := TenantFrom(r.Context())
-	if !isForwarded(r) {
-		if err := s.Tenants.Acquire(tenant, 1); err != nil {
-			writeError(w, submitErrStatus(w, err), err.Error())
-			return
-		}
-	}
-	j, err := s.svc.SubmitTraced(tenant.Name(), spec, obsv.TraceContextFrom(r.Context()))
+	j, err := s.svc.Submit(r.Context(), spec)
 	switch {
 	case err != nil:
 		writeError(w, submitErrStatus(w, err), err.Error())
@@ -217,18 +269,8 @@ type BatchItem struct {
 // 429 + Retry-After. Per-spec failures (bad spec, full queue) surface in
 // the per-item status without failing the rest.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var specs []JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&specs); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("batch exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode batch: "+err.Error())
+	if !s.decode(w, r, "batch", &specs) {
 		return
 	}
 	maxJobs := s.MaxBatchJobs
@@ -240,17 +282,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch must carry 1..%d specs (got %d)", maxJobs, len(specs)))
 		return
 	}
-	tenant := TenantFrom(r.Context())
-	if !isForwarded(r) {
-		if err := s.Tenants.Acquire(tenant, len(specs)); err != nil {
-			writeError(w, submitErrStatus(w, err), err.Error())
-			return
-		}
+	if !s.admit(w, r, len(specs)) {
+		return
 	}
 	items := make([]BatchItem, len(specs))
-	tc := obsv.TraceContextFrom(r.Context())
 	for i, spec := range specs {
-		j, err := s.svc.SubmitTraced(tenant.Name(), spec, tc)
+		j, err := s.svc.Submit(r.Context(), spec)
 		if err != nil {
 			items[i] = BatchItem{Status: submitErrStatus(nil, err), Error: err.Error()}
 			continue
@@ -270,35 +307,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // one token per grid point up front. Oversized grids (ErrTooManyPoints) and
 // any other spec defect answer 400.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var spec SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("sweep spec exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode sweep spec: "+err.Error())
+	if !s.decode(w, r, "sweep spec", &spec) {
 		return
 	}
 	// Normalize before charging so the token count reflects the real grid
-	// (and junk grids cost nothing). SubmitSweepAs re-normalizes the already-
+	// (and junk grids cost nothing). SubmitSweep re-normalizes the already-
 	// canonical spec, which is idempotent.
 	if err := spec.Normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tenant := TenantFrom(r.Context())
-	if !isForwarded(r) {
-		if err := s.Tenants.Acquire(tenant, spec.NumPoints()); err != nil {
-			writeError(w, submitErrStatus(w, err), err.Error())
-			return
-		}
+	if !s.admit(w, r, spec.NumPoints()) {
+		return
 	}
-	sw, err := s.svc.SubmitSweepTraced(tenant.Name(), spec, obsv.TraceContextFrom(r.Context()))
+	sw, err := s.svc.SubmitSweep(r.Context(), spec)
 	if err != nil {
 		writeError(w, submitErrStatus(w, err), err.Error())
 		return
@@ -307,116 +330,123 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sw.Snapshot(false))
 }
 
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	sweeps := s.svc.Sweeps()
-	views := make([]SweepView, 0, len(sweeps))
-	for _, sw := range sweeps {
-		views = append(views, sw.Snapshot(false))
-	}
-	writeJSON(w, http.StatusOK, views)
-}
-
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.svc.GetSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, sw.Snapshot(true))
-}
-
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw, changed, err := s.svc.CancelSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if !changed {
-		writeJSON(w, http.StatusConflict, sw.Snapshot(false))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, sw.Snapshot(false))
-}
-
-// handleSweepEvents streams sweep progress as SSE: buffered "point" events
-// as each grid point changes state, periodic "progress" summaries, and a
-// final "done" with the full sweep view (aggregate included).
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.svc.GetSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	emit := func(event string, v any) {
-		b, _ := json.Marshal(v)
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-		flusher.Flush()
-	}
-	type progress struct {
-		ID         string `json:"id"`
-		State      State  `json:"state"`
-		NumPoints  int    `json:"num_points"`
-		PointsDone int    `json:"points_done"`
-	}
-	var cursor uint64
-	drain := func() {
-		events, dropped, next := sw.DiagSince(cursor)
-		cursor = next
-		if dropped > 0 {
-			emit("dropped", map[string]uint64{"missed": dropped})
+func (s *Server) handleList(c collection) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		items := c.list()
+		views := make([]any, len(items))
+		for i, it := range items {
+			views[i] = it.view(false)
 		}
-		for _, ev := range events {
-			// Dispatch by ring kind: per-point progress streams as "point",
-			// the terminal transition as "sweep" (always ahead of "done").
-			emit(ev.Kind, ev)
-		}
+		writeJSON(w, http.StatusOK, views)
 	}
-	ticker := time.NewTicker(s.EventInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
+}
+
+func (s *Server) handleGet(c collection) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		res, err := c.get(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
 			return
-		case <-sw.Done():
-			drain()
-			emit("done", sw.Snapshot(true))
+		}
+		writeJSON(w, http.StatusOK, res.view(true))
+	}
+}
+
+// handleCancel answers 202 with the view when the request had an effect,
+// and 409 with the terminal view when the job or sweep had already ended.
+func (s *Server) handleCancel(c collection) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		res, err := c.get(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
 			return
-		case <-ticker.C:
-			drain()
-			emit("progress", progress{ID: sw.ID, State: sw.State(),
-				NumPoints: len(sw.points), PointsDone: sw.PointsDone()})
+		}
+		status := http.StatusAccepted
+		if !res.Cancel() {
+			status = http.StatusConflict
+		}
+		writeJSON(w, status, res.view(false))
+	}
+}
+
+// handleEvents streams progress as server-sent events: the buffered ring
+// events under their kind's SSE name (a job's "diag" and "health", a
+// sweep's "point" and terminal "sweep"), one "progress" summary per tick,
+// and a final "done" with the full view once the resource is terminal.
+func (s *Server) handleEvents(c collection) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		res, err := c.get(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
+			return
+		}
+		flusher, ok := w.(http.Flusher)
+		if !ok {
+			writeError(w, http.StatusNotImplemented, "streaming unsupported")
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+		w.WriteHeader(http.StatusOK)
+
+		emit := func(event string, v any) {
+			b, _ := json.Marshal(v)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
+			flusher.Flush()
+		}
+		// drain forwards buffered events since the cursor. A consumer that
+		// fell behind the ring first learns how many events it missed, then
+		// gets the survivors in order.
+		var cursor uint64
+		drain := func() {
+			events, dropped, next := res.DiagSince(cursor)
+			cursor = next
+			if dropped > 0 {
+				emit("dropped", map[string]uint64{"missed": dropped})
+			}
+			for _, ev := range events {
+				emit(res.sseName(ev.Kind), ev)
+			}
+		}
+		ticker := time.NewTicker(s.EventInterval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-res.Done():
+				drain()
+				emit("done", res.view(true))
+				return
+			case <-ticker.C:
+				drain()
+				emit("progress", res.progress())
+			}
 		}
 	}
 }
 
-// handleSweepTrace serves the sweep's reassembled distributed trace: the
-// controller's spans with every point job's timeline grafted under its
-// point span, all sharing one trace ID.
-func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.svc.GetSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
+// handleTrace serves the span timeline: a job's own (live, or persisted for
+// a recovered job), or a sweep's reassembled distributed trace.
+func (s *Server) handleTrace(c collection) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		res, err := c.get(id)
+		if err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
+			return
+		}
+		traceID, spans := res.traceSpans(s.svc)
+		if spans == nil {
+			spans = []obsv.SpanView{}
+		}
+		writeJSON(w, http.StatusOK, struct {
+			ID      string          `json:"id"`
+			State   State           `json:"state"`
+			TraceID string          `json:"trace_id,omitempty"`
+			Spans   []obsv.SpanView `json:"spans"`
+		}{ID: id, State: res.State(), TraceID: traceID, Spans: spans})
 	}
-	traceID, spans := s.svc.AssembleSweepTrace(sw)
-	if spans == nil {
-		spans = []obsv.SpanView{}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		ID      string          `json:"id"`
-		State   State           `json:"state"`
-		TraceID string          `json:"trace_id,omitempty"`
-		Spans   []obsv.SpanView `json:"spans"`
-	}{ID: sw.ID, State: sw.State(), TraceID: traceID, Spans: spans})
 }
 
 // handleCacheLookup answers a peer shard's read-through probe: the raw
@@ -432,126 +462,6 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.svc.Jobs()
-	views := make([]View, 0, len(jobs))
-	for _, j := range jobs {
-		views = append(views, j.Snapshot(false))
-	}
-	writeJSON(w, http.StatusOK, views)
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, err := s.svc.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Snapshot(true))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, changed, err := s.svc.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if !changed {
-		// The job already reached a terminal state: report the conflict
-		// (and the state it ended in) instead of pretending to cancel it.
-		writeJSON(w, http.StatusConflict, j.Snapshot(false))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Snapshot(false))
-}
-
-// handleEvents streams job progress as server-sent events: one "progress"
-// event per tick (state and simulation count) and a final "done" event with
-// the full job view when the job reaches a terminal state.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, err := s.svc.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	emit := func(event string, v any) {
-		b, _ := json.Marshal(v)
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-		flusher.Flush()
-	}
-
-	type progress struct {
-		ID    string `json:"id"`
-		State State  `json:"state"`
-		Sims  int64  `json:"sims"`
-	}
-	// drain forwards buffered convergence diagnostics since the cursor. A
-	// consumer that fell behind the ring first learns how many events it
-	// missed, then gets the survivors in order.
-	var cursor uint64
-	drain := func() {
-		events, dropped, next := j.DiagSince(cursor)
-		cursor = next
-		if dropped > 0 {
-			emit("dropped", map[string]uint64{"missed": dropped})
-		}
-		for _, ev := range events {
-			// Statistical-health verdicts get their own SSE event name so
-			// dashboards can subscribe to violations without parsing every
-			// convergence diagnostic.
-			if ev.Kind == "health" {
-				emit("health", ev)
-				continue
-			}
-			emit("diag", ev)
-		}
-	}
-	ticker := time.NewTicker(s.EventInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-j.Done():
-			drain()
-			emit("done", j.Snapshot(true))
-			return
-		case <-ticker.C:
-			drain()
-			emit("progress", progress{ID: j.ID, State: j.State(), Sims: j.Sims()})
-		}
-	}
-}
-
-// handleTrace serves the job's span timeline: the live trace for jobs run by
-// this process, or the persisted timeline of a recovered job.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, err := s.svc.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	tp, _ := decodeTrace(j.TracePayload())
-	if tp.Spans == nil {
-		tp.Spans = []obsv.SpanView{}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		ID      string          `json:"id"`
-		State   State           `json:"state"`
-		TraceID string          `json:"trace_id,omitempty"`
-		Spans   []obsv.SpanView `json:"spans"`
-	}{ID: j.ID, State: j.State(), TraceID: tp.TraceID, Spans: tp.Spans})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

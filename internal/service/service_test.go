@@ -89,16 +89,16 @@ func TestQueueBackpressure(t *testing.T) {
 		}
 	}
 
-	j1, err := svc.Submit(JobSpec{Seed: 1})
+	j1, err := svc.Submit(context.Background(), JobSpec{Seed: 1})
 	if err != nil {
 		t.Fatalf("submit 1: %v", err)
 	}
 	waitState(t, j1, StateRunning, 2*time.Second) // worker occupied, queue empty
 
-	if _, err := svc.Submit(JobSpec{Seed: 2}); err != nil {
+	if _, err := svc.Submit(context.Background(), JobSpec{Seed: 2}); err != nil {
 		t.Fatalf("submit 2 (fills the queue): %v", err)
 	}
-	if _, err := svc.Submit(JobSpec{Seed: 3}); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.Submit(context.Background(), JobSpec{Seed: 3}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit 3: err = %v, want ErrQueueFull", err)
 	}
 	if d := svc.Snapshot().QueueDepth; d != 1 {
@@ -128,14 +128,14 @@ func TestCancelQueuedJob(t *testing.T) {
 		}
 	}
 
-	j1, _ := svc.Submit(JobSpec{Seed: 1})
+	j1, _ := svc.Submit(context.Background(), JobSpec{Seed: 1})
 	waitState(t, j1, StateRunning, 2*time.Second)
-	j2, err := svc.Submit(JobSpec{Seed: 2})
+	j2, err := svc.Submit(context.Background(), JobSpec{Seed: 2})
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
-	if _, changed, err := svc.Cancel(j2.ID); err != nil || !changed {
-		t.Fatalf("cancel: changed=%v err=%v", changed, err)
+	if !j2.Cancel() {
+		t.Fatal("cancel of a queued job had no effect")
 	}
 	if got := j2.State(); got != StateCanceled {
 		t.Fatalf("queued job state after cancel = %q, want canceled", got)
@@ -161,7 +161,7 @@ func TestCancelMidRunStopsCounter(t *testing.T) {
 		}
 	}
 
-	j, err := svc.Submit(JobSpec{Seed: 1})
+	j, err := svc.Submit(context.Background(), JobSpec{Seed: 1})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -170,8 +170,8 @@ func TestCancelMidRunStopsCounter(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, changed, err := svc.Cancel(j.ID); err != nil || !changed {
-		t.Fatalf("cancel: changed=%v err=%v", changed, err)
+	if !j.Cancel() {
+		t.Fatal("cancel of a running job had no effect")
 	}
 	waitDone(t, j, 2*time.Second)
 	if got := j.State(); got != StateCanceled {
@@ -198,7 +198,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	defer svc.Drain(context.Background())
 
 	spec := JobSpec{Estimator: EstNaive, N: 1500, Seed: 11}
-	j1, err := svc.Submit(spec)
+	j1, err := svc.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 	simsBefore := svc.Snapshot().SimsTotal
 
-	j2, err := svc.Submit(spec)
+	j2, err := svc.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestGracefulDrainFinishesRunningJobs(t *testing.T) {
 
 	var jobs []*Job
 	for i := 0; i < 5; i++ {
-		j, err := svc.Submit(JobSpec{Seed: int64(i + 1)})
+		j, err := svc.Submit(context.Background(), JobSpec{Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -267,7 +267,7 @@ func TestGracefulDrainFinishesRunningJobs(t *testing.T) {
 			t.Fatalf("job %s state after drain = %q, want done", j.ID, j.State())
 		}
 	}
-	if _, err := svc.Submit(JobSpec{Seed: 99}); !errors.Is(err, ErrDraining) {
+	if _, err := svc.Submit(context.Background(), JobSpec{Seed: 99}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain: err = %v, want ErrDraining", err)
 	}
 }
@@ -278,7 +278,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 		<-ctx.Done() // only a hard cancel ends this job
 		return nil, ctx.Err()
 	}
-	j, err := svc.Submit(JobSpec{Seed: 1})
+	j, err := svc.Submit(context.Background(), JobSpec{Seed: 1})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestPanicRecovery(t *testing.T) {
 		return &RunResult{}, nil
 	}
 
-	bad, err := svc.Submit(JobSpec{Seed: 13})
+	bad, err := svc.Submit(context.Background(), JobSpec{Seed: 13})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 
 	// The worker must have survived the panic.
-	ok, err := svc.Submit(JobSpec{Seed: 14})
+	ok, err := svc.Submit(context.Background(), JobSpec{Seed: 14})
 	if err != nil {
 		t.Fatalf("submit after panic: %v", err)
 	}
@@ -353,14 +353,14 @@ func TestConcurrentSubmitCancel(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
-				j, err := svc.Submit(JobSpec{Seed: int64(g*1000 + i + 1)})
+				j, err := svc.Submit(context.Background(), JobSpec{Seed: int64(g*1000 + i + 1)})
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
 				jobCh <- j
 				if i%3 == 0 {
-					go svc.Cancel(j.ID) // concurrent cancel from another goroutine
+					go j.Cancel() // concurrent cancel from another goroutine
 				}
 				if i%4 == 0 {
 					svc.Snapshot() // concurrent metrics reads
@@ -396,7 +396,7 @@ func TestJobIDsAreSequential(t *testing.T) {
 	defer svc.Drain(context.Background())
 	var prev string
 	for i := 0; i < 3; i++ {
-		j, err := svc.Submit(JobSpec{Seed: int64(i + 1)})
+		j, err := svc.Submit(context.Background(), JobSpec{Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}

@@ -45,7 +45,11 @@ func (s *Service) pointTrace(j *Job) (tracePayload, string, bool) {
 		}
 		return tracePayload{}, "", false
 	}
-	if src := s.findComputedByKey(j.Key, j.ID); src != nil {
+	// The earliest done, non-cached job that computed the key holds the
+	// real engine spans.
+	if src, ok := s.jobs.find(func(o *Job) bool {
+		return o.ID != j.ID && o.Key == j.Key && o.State() == StateDone && !o.IsCached()
+	}); ok {
 		if tp, ok := decodeTrace(src.TracePayload()); ok {
 			return tp, src.ID, true
 		}
@@ -56,32 +60,19 @@ func (s *Service) pointTrace(j *Job) (tracePayload, string, bool) {
 	return tracePayload{}, "", false
 }
 
-// findComputedByKey returns the earliest done, non-cached job that computed
-// the given content key (excluding one job ID) — the job whose trace holds
-// the real engine spans behind a cache hit.
-func (s *Service) findComputedByKey(key, excludeID string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.order {
-		if j.ID == excludeID || j.Key != key {
-			continue
-		}
-		if j.State() == StateDone && !j.IsCached() {
-			return j
-		}
-	}
-	return nil
-}
-
 // AssembleSweepTrace builds the sweep's reassembled distributed trace: the
 // controller's own spans (root sweep span, one `point` span per grid point)
 // with every point job's timeline grafted under its point span — offsetting
 // intra-job parent indices and re-rooting the job's root spans onto the
-// point span. Returns the sweep's trace ID and the combined span list.
+// point span. Returns the sweep's trace ID and the combined span list. A
+// recovered sweep reassembles from its persisted spans the same way.
 func (s *Service) AssembleSweepTrace(sw *Sweep) (string, []obsv.SpanView) {
-	base := sw.trace.Spans()
-	out := append([]obsv.SpanView(nil), base...)
-	for idx, v := range base {
+	tp, ok := decodeTrace(sw.TracePayload())
+	if !ok {
+		tp.TraceID = sw.trace.ID() // no spans yet (or a sweep journaled before traces were)
+	}
+	out := append([]obsv.SpanView(nil), tp.Spans...)
+	for idx, v := range tp.Spans {
 		if v.Name != "point" {
 			continue
 		}
@@ -117,5 +108,5 @@ func (s *Service) AssembleSweepTrace(sw *Sweep) (string, []obsv.SpanView) {
 			out = append(out, sp)
 		}
 	}
-	return sw.trace.ID(), out
+	return tp.TraceID, out
 }

@@ -21,8 +21,9 @@ const (
 	OpResult Op = "result"
 	// OpDrop voids a submit whose enqueue was refused (queue full).
 	OpDrop Op = "drop"
-	// OpTrace attaches a finished job's span timeline. Traces are job-keyed
-	// (wall-clock data, never content-addressed) and replace on re-run.
+	// OpTrace attaches a finished job's or sweep's span timeline, keyed by
+	// its ID (wall-clock data, never content-addressed); it replaces on
+	// re-run.
 	OpTrace Op = "trace"
 	// OpTenant snapshots a tenant's accumulated usage (jobs, sims); the
 	// latest record per tenant wins on replay, so quota accounting survives
@@ -36,9 +37,10 @@ const (
 	// key and tenant. Older binaries replay it as an unknown op — warned
 	// about and ignored, never fatal.
 	OpSweep Op = "sweep"
-	// OpSweepState records a sweep lifecycle transition; terminal done
-	// records carry the aggregate result payload in Result (sweep aggregates
-	// are journal state keyed by sweep ID, not content-addressed).
+	// OpSweepState records a sweep lifecycle transition; terminal records
+	// carry the sweep's payload in Result — the aggregate of a done sweep,
+	// the per-point status of a failed or canceled one (journal state keyed
+	// by sweep ID, not content-addressed).
 	OpSweepState Op = "sweep_state"
 )
 

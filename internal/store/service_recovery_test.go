@@ -90,7 +90,7 @@ func TestRecoveryServiceReplay(t *testing.T) {
 
 	// A completes; B blocks mid-run; C and D sit in the queue; E duplicates
 	// A's spec and is answered inline from the cache.
-	jA, err := svc1.Submit(spec(1))
+	jA, err := svc1.Submit(context.Background(), spec(1))
 	if err != nil {
 		t.Fatalf("submit A: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestRecoveryServiceReplay(t *testing.T) {
 		t.Fatalf("unexpected pre-crash payload:\n%s\n%s", resultA, want)
 	}
 
-	jB, err := svc1.Submit(spec(100))
+	jB, err := svc1.Submit(context.Background(), spec(100))
 	if err != nil {
 		t.Fatalf("submit B: %v", err)
 	}
@@ -110,15 +110,15 @@ func TestRecoveryServiceReplay(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	jC, err := svc1.Submit(spec(101))
+	jC, err := svc1.Submit(context.Background(), spec(101))
 	if err != nil {
 		t.Fatalf("submit C: %v", err)
 	}
-	jD, err := svc1.Submit(spec(102))
+	jD, err := svc1.Submit(context.Background(), spec(102))
 	if err != nil {
 		t.Fatalf("submit D: %v", err)
 	}
-	jE, err := svc1.Submit(spec(1))
+	jE, err := svc1.Submit(context.Background(), spec(1))
 	if err != nil {
 		t.Fatalf("submit E: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestRecoveryServiceReplay(t *testing.T) {
 	}
 
 	// Fresh submissions continue the ID sequence instead of reusing it.
-	jF, err := svc2.Submit(spec(7))
+	jF, err := svc2.Submit(context.Background(), spec(7))
 	if err != nil {
 		t.Fatalf("submit F: %v", err)
 	}

@@ -80,7 +80,7 @@ func TestSweepCrashHelper(t *testing.T) {
 		Store:   fs,
 		RunFunc: sweepPointRunFunc(20*time.Millisecond, os.Stdout, nil),
 	})
-	sw, err := svc.SubmitSweep(sweepCrashSpec())
+	sw, err := svc.SubmitSweep(context.Background(), sweepCrashSpec())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "helper: submit sweep: %v\n", err)
 		os.Exit(1)
@@ -243,7 +243,7 @@ func TestSweepRecoveryAfterSIGKILL(t *testing.T) {
 		Workers: 1, QueueCapacity: 64,
 		RunFunc: sweepPointRunFunc(0, nil, nil),
 	})
-	rsw, err := ref.SubmitSweep(sweepCrashSpec())
+	rsw, err := ref.SubmitSweep(context.Background(), sweepCrashSpec())
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func TestTracePersistenceAndRecovery(t *testing.T) {
 		RunFunc: runFunc(100, nil, &calls),
 	})
 	spec := service.JobSpec{Estimator: service.EstNaive, Seed: 1, N: 500}
-	j1, err := svc1.Submit(spec)
+	j1, err := svc1.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
