@@ -22,7 +22,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/montecarlo/ ./internal/sram/ ./internal/spice/
+	$(GO) test -race ./internal/montecarlo/ ./internal/sram/ ./internal/spice/ \
+		./internal/service/ ./internal/cluster/ ./internal/store/
 
 # Blocking Prometheus-exposition lint: every text exposition the repo
 # serves — the shard's /metrics, the router's cluster roll-up, and both

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — end-to-end cluster failover exercise.
 #
-# Boots a two-shard cluster behind ecripse-router, batch-submits a spread of
-# naive-MC jobs slow enough to be caught mid-run, SIGKILLs one shard, and
-# requires every job — including the dead shard's — to reach "done" through
+# Boots a two-shard cluster behind ecripse-router and runs a short naive-MC
+# sweep through the router end to end (submit, read back, merged list, event
+# stream, DELETE conflict). Then batch-submits a spread of naive-MC jobs slow
+# enough to be caught mid-run, SIGKILLs one shard, and requires every job — including the dead shard's — to reach "done" through
 # the router (journaled specs re-enqueue on the ring successor and re-run
 # deterministically). Finally asserts the cluster metrics roll-up reflects
 # the kill. Artifacts (logs, data dirs) land in $SMOKE_DIR for CI upload.
@@ -68,6 +69,35 @@ PIDS+=("$!")
 wait_http "http://127.0.0.1:$S1_PORT/healthz" 50 || fail "s1 never answered /healthz"
 wait_http "http://127.0.0.1:$S2_PORT/healthz" 50 || fail "s2 never answered /healthz"
 wait_http "$ROUTER/healthz" 50 || fail "router never answered /healthz"
+
+# The sweep runs before the batch, so its points neither queue behind the
+# slow jobs nor let the shards drain them before the kill.
+echo "== sweep through the router: submit, read back, list, stream, conflict =="
+SWEEP='{"base":{"estimator":"naive","n":200,"seed":77},"vdd":{"values":[0.7,0.8,0.9]}}'
+SRESP=$(curl -fsS -XPOST -H 'Content-Type: application/json' \
+    -d "$SWEEP" "$ROUTER/v1/sweeps") || fail "sweep submit"
+SID=$(echo "$SRESP" | json 'd["id"]') || fail "sweep submit response malformed: $SRESP"
+case "$SID" in
+    s1-sw*|s2-sw*) ;;
+    *) fail "sweep ID $SID carries no shard prefix" ;;
+esac
+[ "$(curl -fsS "$ROUTER/v1/sweeps/$SID" | json 'd["num_points"]')" = "3" ] \
+    || fail "sweep $SID not readable by ID through the router"
+[ "$(curl -fsS "$ROUTER/v1/sweeps" | json "any(s['id'] == '$SID' for s in d)")" = "True" ] \
+    || fail "sweep $SID missing from the merged GET /v1/sweeps"
+# The stream ends by itself once the sweep is terminal: the terminal
+# "sweep" event, then "done" last.
+EVENTS=$(curl -fsS -N --max-time 120 "$ROUTER/v1/sweeps/$SID/events" | sed -n 's/^event: //p' | tr '\n' ' ') \
+    || fail "sweep $SID event stream"
+case "$EVENTS" in
+    *"sweep "*"done ") ;;
+    *) fail "sweep $SID events did not end with sweep ... done: $EVENTS" ;;
+esac
+SSTATE=$(curl -fsS "$ROUTER/v1/sweeps/$SID" | json 'd["state"]')
+[ "$SSTATE" = "done" ] || fail "sweep $SID ended '$SSTATE'"
+SDEL=$(curl -s -o /dev/null -w '%{http_code}' -XDELETE "$ROUTER/v1/sweeps/$SID")
+[ "$SDEL" = "409" ] || fail "DELETE of finished sweep $SID answered $SDEL, want 409"
+echo "sweep $SID done through the router; events: $EVENTS"
 
 echo "== batch submit $JOBS naive-MC jobs through the router =="
 BATCH="["
