@@ -13,12 +13,9 @@ package ecripse
 // mixture density, classifier) follow at the end.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 
 	"ecripse/internal/blockade"
@@ -29,7 +26,6 @@ import (
 	"ecripse/internal/montecarlo"
 	"ecripse/internal/randx"
 	"ecripse/internal/rtn"
-	"ecripse/internal/service"
 	"ecripse/internal/sram"
 	"ecripse/internal/svm"
 )
@@ -99,48 +95,6 @@ func BenchmarkFig8DutySweep(b *testing.B) {
 		ratio += r.WorstOverRDF
 	}
 	b.ReportMetric(ratio/float64(b.N), "rtn-over-rdf")
-}
-
-// BenchmarkSweepFig7 runs the paper's Fig. 7/8 duty-ratio grid as one
-// planner-driven sweep and reports the total transistor-level simulation
-// count. SWEEP_BENCH_MODE=cold|warm pins the planner mode while keeping the
-// benchmark name stable, which is how CI produces two comparable documents
-// and gates `benchjson diff -metric sims` on the warm/cold ratio; with the
-// variable unset both modes run as sub-benchmarks for the local trajectory
-// file. The warm chain re-derives nothing a neighbor already knows, so its
-// sims figure must stay a small fraction of the cold one.
-func BenchmarkSweepFig7(b *testing.B) {
-	switch mode := os.Getenv("SWEEP_BENCH_MODE"); mode {
-	case "cold":
-		benchSweep(b, false)
-	case "warm":
-		benchSweep(b, true)
-	case "":
-		b.Run("cold", func(b *testing.B) { benchSweep(b, false) })
-		b.Run("warm", func(b *testing.B) { benchSweep(b, true) })
-	default:
-		b.Fatalf("SWEEP_BENCH_MODE=%q (want cold, warm, or unset)", mode)
-	}
-}
-
-func benchSweep(b *testing.B, warm bool) {
-	var sims, saved float64
-	for i := 0; i < b.N; i++ {
-		spec := service.SweepSpec{
-			Base:      service.JobSpec{RTN: true, Vdd: device.VddLow, Seed: int64(i + 1), N: 20000, M: 5},
-			Alpha:     &service.Axis{From: 0, To: 1, Steps: 9},
-			WarmStart: warm,
-		}
-		res, err := service.RunSweepLocal(context.Background(), spec, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sims += float64(res.TotalSims)
-		saved += float64(res.SimsSaved)
-	}
-	n := float64(b.N)
-	b.ReportMetric(sims/n, "sims")
-	b.ReportMetric(saved/n, "sims-saved")
 }
 
 // --- Ablations (DESIGN.md §5) -------------------------------------------
@@ -237,8 +191,8 @@ func BenchmarkAblationInitReuse(b *testing.B) {
 // The estimates are bit-identical across sub-benchmarks (asserted by
 // TestRegressParallelismDeterminism); this benchmark records the wall-clock
 // speedup the deterministic parallel path buys on the host. On a single-core
-// runner the variants tie; the trajectory file makes multi-core gains
-// visible over time.
+// runner the variants tie; bench/ records the speedup on a named host as
+// core.speedup_vs_1.
 func BenchmarkEngineParallelism(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
@@ -247,47 +201,6 @@ func BenchmarkEngineParallelism(b *testing.B) {
 			b.ReportMetric(p, "pfail")
 		})
 	}
-}
-
-// --- Multi-core scaling ------------------------------------------------
-
-// BenchmarkFig7Scaling runs the Fig. 7 workload — the RTN-aware read-failure
-// estimate at alpha=0.3 — with intra-job parallelism tied to GOMAXPROCS, so
-// `-cpu 1,2,4,8` sweeps the worker count and the ns/op trajectory shows how
-// far the engine scales.
-func BenchmarkFig7Scaling(b *testing.B) {
-	cell := sram.NewCell(device.VddLow)
-	cfg := rtn.TableIConfig(cell)
-	opts := core.Options{NIS: 10000, M: 5, Parallelism: runtime.GOMAXPROCS(0)}
-	var sims, p float64
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		res := core.NewEngine(cell, nil, opts).Run(rng, rtn.NewSampler(cell, cfg, 0.3))
-		sims += float64(res.Estimate.Sims)
-		p += res.Estimate.P
-	}
-	n := float64(b.N)
-	b.ReportMetric(sims/n, "sims")
-	b.ReportMetric(p/n, "pfail")
-}
-
-// BenchmarkFig8Scaling runs a three-point Fig. 8 duty-ratio slice on one
-// engine (boundary init shared, stage 2 re-run per bias point), the
-// sweep-shaped workload whose stage-2 loops dominate wall time. Parallelism
-// follows GOMAXPROCS exactly as in BenchmarkFig7Scaling.
-func BenchmarkFig8Scaling(b *testing.B) {
-	cell := sram.NewCell(device.VddLow)
-	cfg := rtn.TableIConfig(cell)
-	opts := core.Options{NIS: 6000, M: 5, Parallelism: runtime.GOMAXPROCS(0)}
-	alphas := []float64{0.1, 0.3, 0.5}
-	var sims float64
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		for _, pt := range core.DutySweep(rng, cell, cfg, alphas, opts) {
-			sims += float64(pt.Result.Estimate.Sims)
-		}
-	}
-	b.ReportMetric(sims/float64(b.N), "sims")
 }
 
 // --- Hot-kernel micro-benchmarks ----------------------------------------

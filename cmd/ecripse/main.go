@@ -69,10 +69,11 @@ func parseAxis(s string) (*service.Axis, error) {
 
 // runSweep executes a sweep spec in-process and prints the grid as CSV.
 // Per-point failures go to stderr and turn the exit code non-zero; the
-// surviving points are still printed.
-func runSweep(spec service.SweepSpec) int {
+// surviving points are still printed. ctx carries the -timeout budget: a
+// sweep it stops prints the points done and returns 1.
+func runSweep(ctx context.Context, spec service.SweepSpec) int {
 	start := time.Now()
-	res, sweepErr := service.RunSweepLocal(context.Background(), spec, nil)
+	res, sweepErr := service.RunSweepLocal(ctx, spec, nil)
 	if res == nil {
 		fmt.Fprintln(os.Stderr, "ecripse:", sweepErr)
 		return 1
@@ -93,7 +94,11 @@ func runSweep(spec service.SweepSpec) int {
 		len(res.Points), res.WarmPoints, res.TotalSims, res.SimsSaved,
 		time.Since(start).Round(time.Millisecond))
 	if sweepErr != nil {
-		fmt.Fprintf(os.Stderr, "ecripse: %d sweep points failed\n", failed)
+		if ctx.Err() != nil {
+			fmt.Fprintf(os.Stderr, "ecripse: sweep stopped by -timeout: %v\n", ctx.Err())
+		} else {
+			fmt.Fprintf(os.Stderr, "ecripse: %d sweep points failed\n", failed)
+		}
 		return 1
 	}
 	return 0
@@ -136,7 +141,23 @@ func main() {
 		return
 	}
 
+	// Budget plumbing: a wall-clock deadline and/or a simulation budget both
+	// funnel into one context; the estimators stop cleanly at their next
+	// cancellation checkpoint and still report the partial series.
+	ctx := context.Background()
+	var cancel context.CancelFunc
+	if *timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
+
 	if *sweepAlpha != "" || *sweepVdd != "" || *sweepTemp != "" {
+		if *trace || *health || *seriesPath != "" {
+			fmt.Fprintln(os.Stderr, "ecripse: -trace, -health and -series apply to single runs, not to -sweep-* grids")
+			os.Exit(2)
+		}
 		base := service.JobSpec{
 			Mode: *mode, RTN: *withRTN, Seed: *seed, N: *nis, M: *m,
 			NoClassifier: *noClass, Parallelism: *parallel, MaxSims: *maxSims,
@@ -161,7 +182,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ecripse: -sweep-temp:", err)
 			os.Exit(2)
 		}
-		os.Exit(runSweep(spec))
+		os.Exit(runSweep(ctx, spec))
 	}
 
 	var failMode ecripse.FailureMode
@@ -183,17 +204,6 @@ func main() {
 		Parallelism: *parallel,
 	})
 
-	// Budget plumbing: a wall-clock deadline and/or a simulation budget both
-	// funnel into one context; the estimators stop cleanly at their next
-	// cancellation checkpoint and still report the partial series.
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if *timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
 	if *maxSims > 0 {
 		est.LimitSims(*maxSims, cancel)
 	}
@@ -220,12 +230,18 @@ func main() {
 		fmt.Printf("RDF-only %s-failure probability (Vdd=%.2f V):\n", failMode, *vdd)
 	}
 	if runErr != nil {
-		switch {
-		case *maxSims > 0 && est.Simulations() >= *maxSims:
-			fmt.Printf("  [stopped at the -max-sims budget of %d; partial result]\n", *maxSims)
-		default:
-			fmt.Printf("  [stopped by -timeout after %s; partial result]\n", *timeout)
+		stop := fmt.Sprintf("by -timeout after %s", *timeout)
+		if *maxSims > 0 && est.Simulations() >= *maxSims {
+			stop = fmt.Sprintf("at the -max-sims budget of %d", *maxSims)
 		}
+		if len(res.Series) == 0 {
+			// Stopped before the first stage-2 batch: the zero estimate in
+			// res is no estimate at all.
+			fmt.Fprintf(os.Stderr, "ecripse: stopped %s (%d simulations), before stage 2; no estimate reached\n",
+				stop, est.Simulations())
+			os.Exit(1)
+		}
+		fmt.Printf("  [stopped %s; partial result]\n", stop)
 	}
 	elapsed := time.Since(runStart)
 	fmt.Printf("  %v\n", res.Estimate)

@@ -187,10 +187,12 @@ func RunSpec(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunR
 // runSpec executes a normalized spec deterministically: all randomness
 // derives from spec.Seed, and ctx checkpoints consume none, so a fixed
 // (spec, seed) yields a byte-identical RunResult — the cache-soundness
-// invariant. On cancellation the partial result is returned with ctx.Err();
-// a stop caused purely by the spec's own MaxSims budget counts as a clean
+// invariant. On cancellation the partial result is returned with ctx.Err().
+// A stop caused purely by the spec's own MaxSims budget counts as a clean
 // completion (the budget is part of the content address, so the partial
-// series is the deterministic result of that spec).
+// series is the deterministic result of that spec) — unless it left a
+// series-recording estimator (every one but subset) without a single series
+// point: that run reached no estimate, and its zero must not read as one.
 func runSpec(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunResult, error) {
 	// Every run gets a health monitor: the service installs one wired to
 	// SSE/metrics; the CLI path falls back to a silent default here so the
@@ -212,7 +214,10 @@ func runSpec(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunR
 	res, err := runEstimator(runCtx, s, counter)
 
 	if err != nil && ctx.Err() == nil && s.MaxSims > 0 && counter.Count() >= s.MaxSims {
-		err = nil // clean budget stop, not a cancellation
+		err = nil // budget stop, not a cancellation
+		if s.Estimator != EstSubset && (res == nil || len(res.Series) == 0) {
+			err = fmt.Errorf("max_sims budget of %d spent after %d simulations, before the first estimate", s.MaxSims, counter.Count())
+		}
 	}
 	if res != nil {
 		res.Cost.Total = counter.Count()

@@ -643,11 +643,16 @@ func (s *Service) execute(j *Job) {
 		payload = b
 	}
 	if err != nil {
-		// Cancelled (client DELETE, drain abort, or deadline): keep the
-		// partial result for inspection but never cache it. Partial
-		// payloads are deliberately not persisted either — a restored
-		// canceled job carries its error but no payload.
-		j.finish(StateCanceled, payload, err.Error())
+		// The job is canceled only when its own context was (client DELETE,
+		// sweep cancel, or drain abort); any other runner error fails it.
+		// Either way the partial result is kept for inspection but never
+		// cached. Partial payloads are deliberately not persisted either — a
+		// restored job carries its error but no payload.
+		state := StateFailed
+		if j.ctx.Err() != nil {
+			state = StateCanceled
+		}
+		j.finish(state, payload, err.Error())
 		s.persistTrace(&j.lifecycle)
 		return
 	}

@@ -68,7 +68,8 @@ type JobSpec struct {
 	// NoClassifier disables the SVM blockade of the ecripse estimator.
 	NoClassifier bool `json:"no_classifier,omitempty"`
 	// MaxSims optionally bounds the transistor-level simulations; the job
-	// stops cleanly at the budget and reports the partial series.
+	// stops cleanly at the budget and reports the partial series, or fails
+	// when the budget runs out before the series has its first point.
 	MaxSims int64 `json:"max_sims,omitempty"`
 	// Parallelism is the intra-job worker count for the ecripse estimator's
 	// hot loops (0 = serial). It is an execution knob, not part of the

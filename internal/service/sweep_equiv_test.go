@@ -166,3 +166,33 @@ func TestSweepMatchesIndependentPoints(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmSweepHalvesSimulations is the planner's cost gate: the paper's
+// Fig. 7/8 duty-ratio grid run as one warm-started sweep must spend at most
+// half the transistor-level simulations of the same points run cold.
+// Simulation counts are a deterministic function of the seeds, identical at
+// any parallelism, so the bound holds exactly on any host. Skipped under
+// -short.
+func TestWarmSweepHalvesSimulations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warm-vs-cold sweep gate skipped in -short mode")
+	}
+	totalSims := func(warm bool) int64 {
+		spec := SweepSpec{
+			Base:      JobSpec{RTN: true, Vdd: 0.5, N: 20000, M: 5, Seed: 1},
+			Alpha:     &Axis{From: 0, To: 1, Steps: 9},
+			WarmStart: warm,
+		}
+		res, err := RunSweepLocal(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatalf("sweep (warm=%v): %v", warm, err)
+		}
+		return res.TotalSims
+	}
+	cold, warm := totalSims(false), totalSims(true)
+	ratio := float64(warm) / float64(cold)
+	t.Logf("9-point alpha grid: cold %d sims, warm %d sims, warm/cold %.3f", cold, warm, ratio)
+	if ratio > 0.5 {
+		t.Fatalf("warm sweep spent %d sims, %.3f of the cold sweep's %d; want at most 0.5", warm, ratio, cold)
+	}
+}
