@@ -125,8 +125,8 @@ func main() {
 		mode       = flag.String("mode", "read", "failure criterion: read, write or hold")
 		conditions = flag.Bool("conditions", false, "print the Table I experimental conditions and exit")
 		seriesPath = flag.String("series", "", "write the convergence series CSV to this file")
-		timeout    = flag.Duration("timeout", 0, "wall-clock budget; the run stops cleanly and reports the partial series")
-		maxSims    = flag.Int64("max-sims", 0, "transistor-level simulation budget; the run stops cleanly at the budget")
+		timeout    = flag.Duration("timeout", 0, "wall-clock budget; a stop inside stage 2 reports the partial series, one before it exits 1 without an estimate")
+		maxSims    = flag.Int64("max-sims", 0, "transistor-level simulation budget; a stop inside stage 2 reports the partial series, one before it exits 1 without an estimate")
 		trace      = flag.Bool("trace", false, "print the stage span timeline and per-round convergence diagnostics")
 		health     = flag.Bool("health", false, "evaluate the statistical-health watchdog and print its verdict")
 		sweepAlpha = flag.String("sweep-alpha", "", `duty-ratio sweep axis: comma list ("0,0.5,1") or from:to:steps ("0:1:11"); requires -rtn`)
@@ -142,8 +142,10 @@ func main() {
 	}
 
 	// Budget plumbing: a wall-clock deadline and/or a simulation budget both
-	// funnel into one context; the estimators stop cleanly at their next
-	// cancellation checkpoint and still report the partial series.
+	// funnel into one context; the estimators stop at their next
+	// cancellation checkpoint. A stop inside stage 2 reports the partial
+	// series; a stop before the first stage-2 point exits 1 without an
+	// estimate.
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if *timeout > 0 {

@@ -246,7 +246,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err != nil:
 		writeError(w, submitErrStatus(w, err), err.Error())
-	case j.State() == StateDone:
+	case j.IsCached():
 		writeJSON(w, http.StatusOK, j.Snapshot(true)) // cache hit: answered inline
 	default:
 		w.Header().Set("Location", "/v1/jobs/"+j.ID)
@@ -294,7 +294,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		view := j.Snapshot(false)
 		status := http.StatusAccepted
-		if view.State == StateDone {
+		if view.Cached {
 			status = http.StatusOK
 		}
 		items[i] = BatchItem{Status: status, Job: &view}

@@ -450,9 +450,10 @@ func (s *Service) waitPoint(sw *Sweep, i int, j *Job, parent *obsv.Span) error {
 //
 // A warm sweep stops at the first point error (its successors' inputs are
 // gone); a cold sweep runs every point and reports each failure in its
-// point's Error field. Either way the error return joins every per-point
-// failure — callers must treat a non-nil error as a failed sweep even though
-// the partial aggregate is returned for inspection.
+// point's Error field. Either starts no point once ctx is done. The error
+// return joins every per-point failure — callers must treat a non-nil
+// error as a failed sweep even though the partial aggregate is returned
+// for inspection.
 func RunSweepLocal(ctx context.Context, spec SweepSpec, runFn func(context.Context, JobSpec, *montecarlo.Counter) (*RunResult, error)) (*SweepResult, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
@@ -473,6 +474,10 @@ func RunSweepLocal(ctx context.Context, spec SweepSpec, runFn func(context.Conte
 	f := newSweepFold(len(points))
 	var errs []error
 	for _, p := range points {
+		if cerr := ctx.Err(); cerr != nil {
+			errs = append(errs, fmt.Errorf("point %d not started: %w", p.Index, cerr))
+			break // a stopped sweep starts no further point
+		}
 		out, rerr := runFn(withRunHooks(ctx, hooks), p.Spec, &montecarlo.Counter{})
 		if rerr == nil {
 			raw, merr := json.Marshal(out)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -34,6 +35,30 @@ func foldSpec() SweepSpec {
 		Base:      JobSpec{RTN: true, Seed: 11, N: 500, M: 2},
 		Alpha:     &Axis{From: 0, To: 1, Steps: 5},
 		WarmStart: true,
+	}
+}
+
+// TestRunSweepLocalStopsWhenContextDone requires a cold sweep to start no
+// point after its context is done: the points already run stay in the
+// result, and the error carries the cancellation.
+func TestRunSweepLocalStopsWhenContextDone(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := foldSpec()
+	spec.WarmStart = false
+	started := 0
+	run := func(ctx context.Context, s JobSpec, c *montecarlo.Counter) (*RunResult, error) {
+		if started++; started == 2 {
+			cancel()
+		}
+		return foldRun(ctx, s, c)
+	}
+	res, err := RunSweepLocal(ctx, spec, run)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if started != 2 || len(res.Points) != 2 {
+		t.Fatalf("started %d points and folded %d of 5, want 2 and 2", started, len(res.Points))
 	}
 }
 
