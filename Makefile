@@ -15,6 +15,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/montecarlo/ ./internal/sram/ ./internal/spice/ \
+		./internal/pfilter/ ./internal/core/ \
 		./internal/service/ ./internal/cluster/ ./internal/store/
 
 # Blocking Prometheus-exposition lint: every text exposition the repo

@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -230,6 +231,12 @@ func main() {
 	} else {
 		res, runErr = est.FailureProbabilityCtx(ctx, *seed)
 		fmt.Printf("RDF-only %s-failure probability (Vdd=%.2f V):\n", failMode, *vdd)
+	}
+	if runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded) {
+		// Not a stop: the engine itself failed (e.g. no failure region
+		// within RMax), so there is no estimate to report.
+		fmt.Fprintln(os.Stderr, "ecripse:", runErr)
+		os.Exit(1)
 	}
 	if runErr != nil {
 		stop := fmt.Sprintf("by -timeout after %s", *timeout)

@@ -12,10 +12,11 @@ import (
 	"ecripse/internal/sram"
 )
 
-// batchScratch is the engine's reusable per-barrier buffer set. simulateBatch
-// and marginBatch run single-threaded per engine (only their interior margin
-// work fans out, into disjoint sub-slices), so one scratch instance per
-// engine makes the steady-state barrier allocation-free.
+// batchScratch is the engine's reusable per-barrier buffer set.
+// simulateMargins and marginBatch run single-threaded per engine (only
+// their interior margin work fans out, into disjoint sub-slices), so one
+// scratch instance per engine makes the steady-state barrier
+// allocation-free.
 type batchScratch struct {
 	shs     []sram.Shifts
 	margins []float64
@@ -56,18 +57,19 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// simulateBatch evaluates the true indicator — the mode's margin < 0 at a
-// *total* normalized shift vector (RDF + RTN combined, in units of the RDF
-// sigma) — at every point of us in bulk, writing out[i] for us[i]. One call
-// bills len(us) transistor-level simulations; the margins march through the
-// lockstep SRAM solver instead of one root-solve latency chain per sample,
-// and each is bit-identical to the scalar solver's margin on the same
-// point. Called at batch barriers (single-threaded per engine); the margin
-// work inside fans out across Opts.Parallelism workers in lane-width
-// chunks. All working buffers come from the engine scratch, so a
-// steady-state barrier allocates nothing. When Opts.IndicatorHist is set
-// the sweep is timed into it; the timing never feeds back into the result.
-func (e *Engine) simulateBatch(us []linalg.Vector, out []bool) {
+// simulateMargins evaluates the mode's signed margin [V] at a *total*
+// normalized shift vector (RDF + RTN combined, in units of the RDF sigma)
+// for every point of us in bulk, writing out[i] for us[i]. It is the
+// engine's one simulate path: one call bills len(us) transistor-level
+// simulations, and the margins march through the lockstep SRAM solver
+// instead of one root-solve latency chain per sample, each bit-identical to
+// the scalar solver's margin on the same point. Called at batch barriers
+// (single-threaded per engine); the margin work inside fans out across
+// Opts.Parallelism workers in lane-width chunks. All working buffers come
+// from the engine scratch, so a steady-state barrier allocates nothing.
+// When Opts.IndicatorHist is set the sweep is timed into it; the timing
+// never feeds back into the result.
+func (e *Engine) simulateMargins(us []linalg.Vector, out []float64) {
 	n := len(us)
 	if n == 0 {
 		return
@@ -80,18 +82,23 @@ func (e *Engine) simulateBatch(us []linalg.Vector, out []bool) {
 	e.Counter.Add(int64(n))
 	sc := &e.scratch
 	sc.shs = growShifts(sc.shs, n)
-	shs := sc.shs
-	e.shiftsInto(us, shs)
-	sc.margins = growFloats(sc.margins, n)
-	margins := sc.margins
-	e.marginBatch(shs, margins)
-	for i, m := range margins {
-		out[i] = m < 0
-	}
+	e.shiftsInto(us, sc.shs)
+	e.marginBatch(sc.shs, out)
 	if h != nil {
 		// One observation per simulation, each billed the batch mean, so the
 		// histogram's count keeps meaning "simulations".
 		h.ObserveN(time.Since(t0).Seconds()/float64(n), int64(n))
+	}
+}
+
+// simulateBatch evaluates the true indicator — margin < 0 — at every point
+// of us, writing out[i] for us[i] (see simulateMargins).
+func (e *Engine) simulateBatch(us []linalg.Vector, out []bool) {
+	sc := &e.scratch
+	sc.margins = growFloats(sc.margins, len(us))
+	e.simulateMargins(us, sc.margins)
+	for i, m := range sc.margins {
+		out[i] = m < 0
 	}
 }
 

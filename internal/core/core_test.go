@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -85,6 +87,38 @@ func TestSharedInitializationSavesSims(t *testing.T) {
 	}
 	if eng.Initial() == nil {
 		t.Fatal("initial particles missing after runs")
+	}
+}
+
+// TestNoFailureRegionIsAnError: when no direction fails within RMax, the
+// run stops after the ring probe (every direction at RMax plus the origin)
+// with an ErrNoFailureRegion error naming RMax, the directions and the
+// simulations spent, instead of reporting an estimate of 0. Nothing is
+// trained or sampled, and a second run on the engine spends nothing more.
+func TestNoFailureRegionIsAnError(t *testing.T) {
+	eng := NewEngine(sram.NewCell(0.7), nil, Options{RMax: 1, NIS: 4000})
+	rng := rand.New(rand.NewSource(1))
+	res, err := eng.RunCtx(context.Background(), rng, nil)
+	if !errors.Is(err, ErrNoFailureRegion) {
+		t.Fatalf("err = %v, want ErrNoFailureRegion (result %+v)", err, res.Estimate)
+	}
+	probe := int64(eng.Opts.Directions + 1)
+	for _, want := range []string{"RMax 1", "256 directions", "257 simulations"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if res.InitSims != probe || res.Estimate.Sims != probe || eng.Counter.Count() != probe {
+		t.Fatalf("spent init %d, run %d, counter %d simulations; want the %d-point ring probe only",
+			res.InitSims, res.Estimate.Sims, eng.Counter.Count(), probe)
+	}
+	if res.WarmupSims != 0 || res.Stage1Sims != 0 || res.Stage2Sims != 0 || len(res.Series) != 0 || eng.Initial() != nil {
+		t.Fatalf("trained or sampled after an empty boundary search: %+v", res)
+	}
+	again, err := eng.RunCtx(context.Background(), rng, nil)
+	if !errors.Is(err, ErrNoFailureRegion) || again.Estimate.Sims != 0 || eng.Counter.Count() != probe {
+		t.Fatalf("second run: err %v, %d sims (counter %d); want the same error and no simulations",
+			err, again.Estimate.Sims, eng.Counter.Count())
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 
@@ -40,6 +42,7 @@ type Engine struct {
 	initial    []linalg.Vector // shared boundary particles (normalized space)
 	trustR     float64         // classifier trust radius (normalized units)
 	warmed     bool            // initial came from SeedWarm, not boundary search
+	initErr    error           // boundary search found no failure region
 	startCloud []linalg.Vector // stage-1 starting cloud of the latest run (for Warm)
 
 	// Cost accounting.
@@ -104,28 +107,36 @@ func (e *Engine) Init(rng *rand.Rand) {
 	e.InitCtx(context.Background(), rng)
 }
 
+// ErrNoFailureRegion reports that boundary search found no failure region
+// within Options.RMax: every searched direction passes at RMax. RunCtx
+// returns it (wrapped, naming RMax, the directions searched and the
+// simulations spent) without training or sampling anything.
+var ErrNoFailureRegion = errors.New("core: no failure region within RMax")
+
 // InitCtx is Init with span recording: when ctx carries an obsv.Trace the
 // boundary search and classifier warm-up appear as child spans. Randomness
-// consumption is identical to Init.
+// consumption is identical to Init. When no direction fails within RMax it
+// stops after the ring probe, and the next RunCtx returns the
+// ErrNoFailureRegion error.
 func (e *Engine) InitCtx(ctx context.Context, rng *rand.Rand) {
-	if e.initial != nil {
+	if e.initial != nil || e.initErr != nil {
 		return
 	}
 	start := e.Counter.Count()
 	dim := sram.NumTransistors
 	bseed := rng.Int63()
 	_, bspan := obsv.StartSpan(ctx, "boundary.init")
-	e.initial = pfilter.BoundaryInitPar(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.simulateBatch, e.Opts.Parallelism)
-	if len(e.initial) == 0 {
-		// Pathological cell: fall back to a ring at RMax so downstream code
-		// stays functional; the estimate will come out ~0.
-		for k := 0; k < e.Opts.Filters; k++ {
-			e.initial = append(e.initial, randx.SphereDirection(rng, dim).Scale(e.Opts.RMax))
-		}
-	}
+	initial, steps := pfilter.BoundaryInitPar(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.simulateMargins, e.Opts.Parallelism)
 	e.initSims = e.Counter.Count() - start
-	bspan.SetAttr(obsv.I("directions", int64(e.Opts.Directions)), obsv.I("found", int64(len(e.initial))), obsv.I("sims", e.initSims))
+	bspan.SetAttr(obsv.I("directions", int64(e.Opts.Directions)), obsv.I("found", int64(len(initial))),
+		obsv.I("steps", int64(steps)), obsv.I("sims", e.initSims))
 	bspan.End()
+	if len(initial) == 0 {
+		e.initErr = fmt.Errorf("%w: none of %d directions fails at RMax %g (%d simulations)",
+			ErrNoFailureRegion, e.Opts.Directions, e.Opts.RMax, e.initSims)
+		return
+	}
+	e.initial = initial
 
 	// Trust the classifier only up to just beyond the farthest boundary
 	// point it will be trained around; the tail beyond carries little
@@ -207,9 +218,12 @@ func (e *Engine) Run(rng *rand.Rand, sampler *rtn.Sampler) Result {
 // particle-filter rounds and at stage-2 batch barriers; when it fires, the
 // run stops cleanly at the next checkpoint — letting the in-flight batch
 // complete — and the partial Result (whatever Series and cost split
-// accumulated so far) is returned together with ctx.Err(). Batch membership
-// does not depend on scheduling, so even budget-stopped partial results are
-// deterministic — the property the service-layer result cache relies on.
+// accumulated so far) is returned together with ctx.Err(); its Estimate.N
+// counts the draws stage 2 folded. Batch membership does not depend on
+// scheduling, so even budget-stopped partial results are deterministic —
+// the property the service-layer result cache relies on. When boundary
+// search found no failure region, RunCtx returns the ErrNoFailureRegion
+// error at once, with only the search's cost in the Result.
 func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sampler) (Result, error) {
 	start := e.Counter.Count()
 	classifiedStart := atomic.LoadInt64(&e.classified)
@@ -225,6 +239,9 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 	emit := obsv.EmitterFrom(ctx)
 	hm := obsv.HealthFrom(ctx)
 	e.InitCtx(ctx, rng)
+	if e.initErr != nil {
+		return Result{Estimate: stats.Estimate{Sims: e.Counter.Count() - start}, InitSims: e.initSims}, e.initErr
+	}
 
 	m := 1
 	if sampler != nil {
@@ -361,7 +378,7 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 		Series: series,
 		Estimate: stats.Estimate{
 			P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr,
-			N: e.Opts.NIS, Sims: e.Counter.Count() - start,
+			N: min(e.Opts.NIS, int(pipe.Batches)*stage2Batch), Sims: e.Counter.Count() - start,
 		},
 		InitSims:         e.initSims,
 		WarmupSims:       e.warmupSims,

@@ -60,7 +60,7 @@ type Options struct {
 	Kernel     float64 // prediction-kernel sigma in normalized units (default 0.3)
 	Directions int     // boundary-search directions (default 256)
 	RMax       float64 // boundary-search radius in sigmas (default 8)
-	RTol       float64 // boundary bisection tolerance (default 0.05)
+	RTol       float64 // boundary-search tolerance (default 0.05)
 
 	// Classifier blockade.
 	PolyDegree   int     // polynomial feature degree (default 4, as in the paper)

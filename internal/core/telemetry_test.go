@@ -73,11 +73,14 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		t.Fatal("no spans recorded")
 	}
 	names := map[string]int{}
-	var pfAttrs map[string]any
+	var pfAttrs, boundaryAttrs map[string]any
 	for _, v := range tr.Spans() {
 		names[v.Name]++
 		if v.Name == "pf.round" && pfAttrs == nil {
 			pfAttrs = v.Attrs
+		}
+		if v.Name == "boundary.init" {
+			boundaryAttrs = v.Attrs
 		}
 		if v.DurMS < 0 {
 			t.Fatalf("span %s left in flight", v.Name)
@@ -95,6 +98,11 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		if _, ok := pfAttrs[key]; !ok {
 			t.Fatalf("pf.round span missing attr %q: %v", key, pfAttrs)
 		}
+	}
+	// The boundary search reports its lockstep steps after the ring probe:
+	// at least one, and at most twice bisection's 8.
+	if steps, ok := boundaryAttrs["steps"].(int64); !ok || steps < 1 || steps > 16 {
+		t.Fatalf("boundary.init span steps = %v, want 1..16 (attrs %v)", boundaryAttrs["steps"], boundaryAttrs)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // stage-1 starting particle cloud, the classifier trust radius, and the
 // trained blockade classifier serialized via svm's Save/Load model format. It
 // is what a sweep planner carries from one grid point to its neighbor so the
-// next point skips boundary bisection and classifier warm-up entirely. The
+// next point skips boundary search and classifier warm-up entirely. The
 // whole struct round-trips through JSON bit-exactly (Go's float64 encoding is
 // shortest-round-trip), so a warm-started run is a deterministic function of
 // (spec, predecessor result) — the property that lets warm results be
@@ -60,7 +60,7 @@ func (e *Engine) Warm() (*WarmState, error) {
 }
 
 // SeedWarm installs a neighbor point's warm state: the cloud becomes the
-// initial particle set (so InitCtx skips boundary bisection AND classifier
+// initial particle set (so InitCtx skips boundary search AND classifier
 // warm-up — the amortization the paper demonstrates in Fig. 7(b)), the
 // stage-1 ensemble is rebuilt from the cloud with the original per-filter
 // grouping via pfilter.Warm, and the classifier (when carried) resumes with

@@ -33,17 +33,34 @@ type StagedValue interface {
 	Value(idx int, x linalg.Vector) float64
 }
 
-// BoundaryInitPar is BoundaryInit with the directions drawn in parallel and
-// the indicator calls gathered into lockstep batches: direction k draws from
-// its own (seed, k) substream, all directions march their bisections in
-// step, and every step labels one point per still-bisecting direction
-// through a single failsBatch call — which the engine answers with its
-// batched margin solver. Bisection decisions depend only on each
-// direction's own labels, and the found boundary points are kept in
-// direction order, so the result depends only on seed, not on the worker
-// count. failsBatch must write out[i] for pts[i]; it is always called
-// single-threaded.
-func BoundaryInitPar(seed int64, dim, directions int, rmax, rtol float64, failsBatch func(pts []linalg.Vector, out []bool), workers int) []linalg.Vector {
+// BoundaryInitPar is the engine's boundary search. It keeps BoundaryInit's
+// contract — a direction counts when its point at rmax fails, and each
+// returned point fails within rtol of the boundary — but draws direction k
+// from its own (seed, k) substream and locates each crossing by
+// root-solving the signed margin along the ray instead of bisecting its
+// sign. A point fails when its margin is < 0; zero and NaN count as passes.
+//
+// The ring probe at rmax carries one extra point, the origin, whose margin
+// is the pass end of every bracket [0, rmax]. Each kept direction then runs
+// Illinois regula falsi on its bracket (the step of sram's halfCell.solve)
+// with a tolerance step: an estimate within rtol/2 of the endpoint that
+// moved last is placed rtol/2 inside it, so a converged estimate closes the
+// bracket with one more simulation. A step that is not strictly inside the
+// bracket, or that meets a NaN margin, takes the midpoint, and a direction
+// still open after as many steps as plain bisection would need bisects from
+// then on, so no direction costs more than twice bisection. A direction
+// stops once its bracket is at most rtol wide and returns d·hi: the point
+// fails and lies within rtol of a passing point or of the origin.
+//
+// All directions march in lockstep: every step evaluates one point per
+// still-open direction through a single marginBatch call — which the engine
+// answers with its batched margin solver. Step decisions depend only on
+// each direction's own margins, and the found points are kept in direction
+// order, so the result depends only on seed, not on the worker count.
+// marginBatch must write out[i] for pts[i]; it is always called
+// single-threaded. The second result is the number of lockstep steps after
+// the ring probe.
+func BoundaryInitPar(seed int64, dim, directions int, rmax, rtol float64, marginBatch func(pts []linalg.Vector, out []float64), workers int) ([]linalg.Vector, int) {
 	if rtol <= 0 {
 		rtol = 0.05
 	}
@@ -54,58 +71,113 @@ func BoundaryInitPar(seed int64, dim, directions int, rmax, rtol float64, failsB
 		dirs[k] = randx.SphereDirection(streams.At(w, uint64(k)), dim)
 	})
 
-	// Ring probe at rmax: directions that pass there have no bracketed
-	// boundary and drop out.
-	pts := make([]linalg.Vector, directions)
-	outs := make([]bool, directions)
+	// Ring probe at rmax plus the origin: directions that pass at rmax have
+	// no bracketed boundary and drop out.
+	pts := make([]linalg.Vector, directions+1)
+	ms := make([]float64, directions+1)
 	for k, d := range dirs {
 		pts[k] = d.Scale(rmax)
 	}
-	failsBatch(pts, outs)
-	lo := make([]float64, directions)
-	hi := make([]float64, directions)
-	failed := make([]bool, directions)
-	for k, f := range outs {
-		failed[k] = f
-		hi[k] = rmax
+	pts[directions] = linalg.NewVector(dim)
+	marginBatch(pts, ms)
+	m0 := ms[directions]
+	brs := make([]bracket, directions)
+	for k, m := range ms[:directions] {
+		brs[k] = bracket{hi: rmax, flo: m0, fhi: m, found: m < 0}
 	}
 
-	// Lockstep bisection. The interval halves identically everywhere, but
-	// the loop keeps a per-direction width test anyway so floating-point
-	// drift between directions can never change a direction's own
-	// stopping point.
-	stage := make([]int, 0, directions)
+	// Lockstep root finding over the still-open directions.
+	falsiSteps := int(math.Ceil(math.Log2(rmax / rtol)))
+	open := make([]int, 0, directions)
+	xs := make([]float64, directions)
+	steps := 0
 	for {
-		stage = stage[:0]
-		for k := range dirs {
-			if failed[k] && hi[k]-lo[k] > rtol {
-				stage = append(stage, k)
+		open = open[:0]
+		for k := range brs {
+			if brs[k].found && brs[k].hi-brs[k].lo > rtol {
+				open = append(open, k)
 			}
 		}
-		if len(stage) == 0 {
+		if len(open) == 0 {
 			break
 		}
-		for j, k := range stage {
-			pts[j] = dirs[k].Scale(0.5 * (lo[k] + hi[k]))
+		for j, k := range open {
+			xs[j] = brs[k].next(rtol, steps < falsiSteps)
+			pts[j] = dirs[k].Scale(xs[j])
 		}
-		failsBatch(pts[:len(stage)], outs[:len(stage)])
-		for j, k := range stage {
-			mid := 0.5 * (lo[k] + hi[k])
-			if outs[j] {
-				hi[k] = mid
-			} else {
-				lo[k] = mid
-			}
+		marginBatch(pts[:len(open)], ms[:len(open)])
+		for j, k := range open {
+			brs[k].update(xs[j], ms[j])
 		}
+		steps++
 	}
 
 	out := make([]linalg.Vector, 0, directions)
 	for k, d := range dirs {
-		if failed[k] {
-			out = append(out, d.Scale(hi[k])) // just inside the failure region
+		if brs[k].found {
+			out = append(out, d.Scale(brs[k].hi)) // just inside the failure region
 		}
 	}
-	return out
+	return out, steps
+}
+
+// bracket is one direction's root-finding state along its ray: radii lo
+// (passes, or the origin) and hi (fails), their margins flo and fhi (the
+// retained end halved by the Illinois rule), and which end moved last.
+type bracket struct {
+	lo, hi   float64
+	flo, fhi float64
+	side     int // +1: hi moved last, -1: lo moved last, 0: neither yet
+	found    bool
+}
+
+// next returns the radius to evaluate: with falsi set, the regula falsi
+// estimate, taken as a step from the end that moved last (from lo before
+// either has) and lengthened to rtol/2 when shorter — the tolerance step,
+// which also covers an estimate on that end (its margin is exactly 0);
+// otherwise, or when the estimate is not strictly inside the bracket or a
+// margin is NaN, the midpoint.
+func (b *bracket) next(rtol float64, falsi bool) float64 {
+	mid := 0.5 * (b.lo + b.hi)
+	if !falsi {
+		return mid
+	}
+	w := b.hi - b.lo
+	from, dir, f0, f1 := b.lo, 1.0, b.flo, b.fhi
+	if b.side > 0 {
+		from, dir, f0, f1 = b.hi, -1.0, b.fhi, b.flo
+	}
+	d := f0 * w / (f0 - f1)
+	if !(d >= 0 && d < w) {
+		return mid
+	}
+	if b.side != 0 {
+		d = max(d, rtol/2)
+	}
+	if x := from + dir*d; x > b.lo && x < b.hi {
+		return x
+	}
+	return mid
+}
+
+// update moves the end that x replaces: hi when margin m fails, lo
+// otherwise. Keeping the same end twice running halves the other end's
+// margin (the Illinois rule), so a one-sided approach still converges
+// superlinearly.
+func (b *bracket) update(x, m float64) {
+	if m < 0 {
+		b.hi, b.fhi = x, m
+		if b.side > 0 {
+			b.flo *= 0.5
+		}
+		b.side = +1
+		return
+	}
+	b.lo, b.flo = x, m
+	if b.side < 0 {
+		b.fhi *= 0.5
+	}
+	b.side = -1
 }
 
 // StepPar advances every filter one prediction/measurement/resampling round

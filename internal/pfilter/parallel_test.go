@@ -1,6 +1,7 @@
 package pfilter
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,39 +13,160 @@ import (
 // shellFails is a deterministic indicator: failure outside radius 3.
 func shellFails(x linalg.Vector) bool { return x.Norm() > 3 }
 
-// shellBatch labels a batch of points with shellFails, counting the calls.
-func shellBatch(calls *int) func(pts []linalg.Vector, out []bool) {
-	return func(pts []linalg.Vector, out []bool) {
+// marginBatch answers a batch with margin(p), counting the calls.
+func marginBatch(margin func(linalg.Vector) float64, calls *int) func(pts []linalg.Vector, out []float64) {
+	return func(pts []linalg.Vector, out []float64) {
 		*calls += len(pts)
 		for i, p := range pts {
-			out[i] = shellFails(p)
+			out[i] = margin(p)
 		}
 	}
 }
 
-// TestBoundaryInitParWorkerInvariance: the boundary set and the number of
-// indicator evaluations must be identical for any worker count, and the
-// points must actually sit on the r=3 shell.
+// shellMargin is the signed margin of the r=3 shell, 3 − r.
+func shellMargin(x linalg.Vector) float64 { return 3 - x.Norm() }
+
+// TestBoundaryInitParWorkerInvariance: the boundary set, the number of
+// margin evaluations and the lockstep step count must be identical for any
+// worker count, and the points must actually sit on the r=3 shell.
 func TestBoundaryInitParWorkerInvariance(t *testing.T) {
 	wantCalls := 0
-	want := BoundaryInitPar(9, 6, 64, 8, 0.05, shellBatch(&wantCalls), 1)
+	want, wantSteps := BoundaryInitPar(9, 6, 64, 8, 0.05, marginBatch(shellMargin, &wantCalls), 1)
 	if len(want) == 0 {
 		t.Fatal("no boundary points found")
 	}
 	for _, p := range want {
-		if r := p.Norm(); r < 2.5 || r > 3.6 {
-			t.Fatalf("boundary point at radius %v, want ≈3", r)
+		if r := p.Norm(); r < 3 || r > 3.05 {
+			t.Fatalf("boundary point at radius %v, want in [3, 3.05]", r)
 		}
 	}
 	for _, workers := range []int{2, 4, 16} {
 		calls := 0
-		got := BoundaryInitPar(9, 6, 64, 8, 0.05, shellBatch(&calls), workers)
+		got, steps := BoundaryInitPar(9, 6, 64, 8, 0.05, marginBatch(shellMargin, &calls), workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("boundary set differs at workers=%d (%d vs %d points)", workers, len(got), len(want))
 		}
-		if calls != wantCalls {
-			t.Fatalf("workers=%d: %d indicator calls, want %d", workers, calls, wantCalls)
+		if calls != wantCalls || steps != wantSteps {
+			t.Fatalf("workers=%d: %d margin calls in %d steps, want %d in %d", workers, calls, steps, wantCalls, wantSteps)
 		}
+	}
+}
+
+// halfShell restricts a radial margin f(r) to the half-space x0 >= 0 and
+// passes everywhere else (margin 1), so only about half the directions
+// find a boundary.
+func halfShell(f func(r float64) float64) func(linalg.Vector) float64 {
+	return func(x linalg.Vector) float64 {
+		if x[0] < 0 {
+			return 1
+		}
+		return f(x.Norm())
+	}
+}
+
+// shellMargins are four margins of the same r=3 shell, from linear to
+// nearly flat beyond the root: the search must place every point in
+// [3, 3+rtol] on each.
+var shellMargins = []struct {
+	name string
+	f    func(r float64) float64
+}{
+	{"3-r", func(r float64) float64 { return 3 - r }},
+	{"tanh(50(3-r))", func(r float64) float64 { return math.Tanh(50 * (3 - r)) }},
+	{"9-r^2", func(r float64) float64 { return 9 - r*r }},
+	{"exp(-r)-exp(-3)", func(r float64) float64 { return math.Exp(-r) - math.Exp(-3) }},
+}
+
+// TestBoundaryInitParContract: on every shell margin, each returned point
+// fails and lies in [3, 3+rtol], and the found directions are exactly the
+// ring points that fail at rmax, in direction order. On the linear margin
+// each found direction costs at most 2 simulations beyond the ring and the
+// origin; on none does a direction cost more than 16 (twice bisection's 8).
+func TestBoundaryInitParContract(t *testing.T) {
+	const dirs, rmax, rtol = 96, 8.0, 0.05
+	for _, tc := range shellMargins {
+		t.Run(tc.name, func(t *testing.T) {
+			margin := halfShell(tc.f)
+			var ring []linalg.Vector // ring points that fail, in direction order
+			calls := 0
+			count := marginBatch(margin, &calls)
+			got, steps := BoundaryInitPar(5, 6, dirs, rmax, rtol, func(pts []linalg.Vector, out []float64) {
+				if calls == 0 {
+					for _, p := range pts[:dirs] {
+						if margin(p) < 0 {
+							ring = append(ring, p)
+						}
+					}
+				}
+				count(pts, out)
+			}, 1)
+			if len(got) != len(ring) || len(got) == 0 || len(got) == dirs {
+				t.Fatalf("found %d directions, %d fail at rmax (of %d)", len(got), len(ring), dirs)
+			}
+			for i, p := range got {
+				if margin(p) >= 0 {
+					t.Fatalf("point %d at radius %v passes", i, p.Norm())
+				}
+				if r := p.Norm(); r < 3 || r > 3+rtol {
+					t.Fatalf("point %d at radius %v, want in [3, %v]", i, r, 3+rtol)
+				}
+				if d := p.Scale(1 / p.Norm()).Sub(ring[i].Scale(1 / rmax)).Norm(); d > 1e-12 {
+					t.Fatalf("point %d is not on ring direction %d (off by %g)", i, i, d)
+				}
+			}
+			perDir := float64(calls-dirs-1) / float64(len(got))
+			t.Logf("%d found, %d steps, %.2f simulations per found direction", len(got), steps, perDir)
+			if tc.name == "3-r" && perDir > 2 {
+				t.Fatalf("linear margin: %.2f simulations per found direction, want at most 2", perDir)
+			}
+			if steps > 16 {
+				t.Fatalf("%d lockstep steps: some direction took more than 16 simulations", steps)
+			}
+		})
+	}
+}
+
+// TestBoundaryInitParEdges: a NaN margin and a margin of exactly 0 (a pass)
+// inside the bracket neither loop nor leave it, and when the origin itself
+// fails every point lands within rtol of the origin, as bisection does.
+func TestBoundaryInitParEdges(t *testing.T) {
+	const dirs, rmax, rtol = 32, 8.0, 0.05
+	cases := []struct {
+		name   string
+		margin func(r float64) float64
+		lo, hi float64 // where the returned radii must lie
+	}{
+		{"NaN inside", func(r float64) float64 { // the first estimate, 1.125, is NaN
+			if r > 1 && r < 2.5 {
+				return math.NaN()
+			}
+			return 9 - r*r
+		}, 3, 3 + rtol},
+		{"zero band", func(r float64) float64 {
+			if r < 2 {
+				return 4 - 2*r
+			}
+			return min(0, 3-r)
+		}, 3, 3 + rtol},
+		{"zero plateau", func(r float64) float64 { return min(0, 3-r) }, 3, 3 + rtol},
+		{"origin fails", func(r float64) float64 { return -1 - r }, 0, rtol},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0
+			got, steps := BoundaryInitPar(3, 6, dirs, rmax, rtol, marginBatch(func(x linalg.Vector) float64 { return tc.margin(x.Norm()) }, &calls), 2)
+			if len(got) != dirs {
+				t.Fatalf("found %d of %d directions", len(got), dirs)
+			}
+			if steps > 16 {
+				t.Fatalf("%d lockstep steps, want at most 16", steps)
+			}
+			for i, p := range got {
+				if r := p.Norm(); r < tc.lo || r > tc.hi || !(tc.margin(r) < 0) {
+					t.Fatalf("point %d at radius %v (margin %v), want a failing point in [%v, %v]", i, r, tc.margin(r), tc.lo, tc.hi)
+				}
+			}
+		})
 	}
 }
 
@@ -53,7 +175,7 @@ func newTestEnsemble(t *testing.T) *Ensemble {
 	t.Helper()
 	rng := rand.New(rand.NewSource(2))
 	calls := 0
-	initial := BoundaryInitPar(2, 6, 32, 8, 0.05, shellBatch(&calls), 1)
+	initial, _ := BoundaryInitPar(2, 6, 32, 8, 0.05, marginBatch(shellMargin, &calls), 1)
 	if len(initial) == 0 {
 		t.Fatal("no initial particles")
 	}

@@ -1,9 +1,10 @@
 // Package pfilter implements the particle-filter machinery of the paper's
-// stage 1 (Section III-B, steps (1)–(4)): radial-bisection initialization on
-// the failure boundary, Gaussian-mixture prediction (eq. (15)), weight
-// measurement (eq. (16)) and low-variance resampling, organized as an
-// ensemble of independent filters so the two symmetric failure lobes of the
-// SRAM cell are tracked without particle degeneracy.
+// stage 1 (Section III-B, steps (1)–(4)): radial initialization on the
+// failure boundary (the paper's bisection in BoundaryInit; a root solve of
+// the signed margin in BoundaryInitPar), Gaussian-mixture prediction
+// (eq. (15)), weight measurement (eq. (16)) and low-variance resampling,
+// organized as an ensemble of independent filters so the two symmetric
+// failure lobes of the SRAM cell are tracked without particle degeneracy.
 package pfilter
 
 import (
@@ -123,7 +124,7 @@ func New(rng *rand.Rand, opts Options, initial []linalg.Vector) *Ensemble {
 // same geometry. Groups shorter than opts.Particles are padded by cycling
 // their own members. This is the cross-point warm-start entry: a sweep
 // planner seeds point i's filters from point i-1's final cloud instead of
-// re-running boundary bisection.
+// re-running boundary search.
 func Warm(opts Options, cloud []linalg.Vector) *Ensemble {
 	opts.fill()
 	if len(cloud) == 0 {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -193,6 +194,8 @@ func RunSpec(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunR
 // series is the deterministic result of that spec) — unless it left a
 // series-recording estimator (every one but subset) without a single series
 // point: that run reached no estimate, and its zero must not read as one.
+// Only a context stop can be a budget stop; any other runner error, such as
+// core.ErrNoFailureRegion, is returned as it is.
 func runSpec(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunResult, error) {
 	// Every run gets a health monitor: the service installs one wired to
 	// SSE/metrics; the CLI path falls back to a silent default here so the
@@ -213,7 +216,7 @@ func runSpec(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunR
 
 	res, err := runEstimator(runCtx, s, counter)
 
-	if err != nil && ctx.Err() == nil && s.MaxSims > 0 && counter.Count() >= s.MaxSims {
+	if errors.Is(err, context.Canceled) && ctx.Err() == nil && s.MaxSims > 0 && counter.Count() >= s.MaxSims {
 		err = nil // budget stop, not a cancellation
 		if s.Estimator != EstSubset && (res == nil || len(res.Series) == 0) {
 			err = fmt.Errorf("max_sims budget of %d spent after %d simulations, before the first estimate", s.MaxSims, counter.Count())

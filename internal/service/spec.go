@@ -79,7 +79,7 @@ type JobSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// WarmIn names the content key of a predecessor job whose exported warm
 	// state (final particle cloud, trained classifier, trust radius) seeds
-	// this job's engine, skipping boundary bisection and classifier warm-up.
+	// this job's engine, skipping boundary search and classifier warm-up.
 	// The sweep planner sets it to chain adjacent grid points; it requires
 	// estimator=ecripse and a 64-hex content key whose result must already be
 	// resolvable when the job runs. Warm seeding changes the engine's

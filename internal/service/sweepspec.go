@@ -85,7 +85,7 @@ func (a *Axis) expand(name string) error {
 // alpha innermost). With WarmStart, the planner chains adjacent points: each
 // point's particle filters are seeded from its predecessor's final cloud and
 // — when both points share an operating point — the trained classifier rides
-// along, cutting the per-point boundary-bisection and warm-up cost to zero.
+// along, cutting the per-point boundary-search and warm-up cost to zero.
 type SweepSpec struct {
 	// Base carries everything the axes do not: estimator, mode, seed,
 	// budgets. Axis-covered fields (alpha/vdd/temp_k) must be zero in it.
