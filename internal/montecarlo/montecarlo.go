@@ -162,12 +162,19 @@ type GMM struct {
 	Sigma   linalg.Vector // shared per-dimension standard deviations
 	Weights []float64     // optional; non-negative, need not be normalized
 
-	// Cached terms for the fast LogPDF path (built lazily on first LogPDF
-	// call). The sync.Once makes concurrent first calls safe: stage-2
-	// importance sampling evaluates a shared proposal from many goroutines.
+	// Cached terms for the fast LogPDF path and the component draw (built
+	// lazily on first LogPDF or Sample call). The sync.Once makes
+	// concurrent first calls safe: stage-2 importance sampling draws from
+	// and evaluates a shared proposal from many goroutines.
 	once      sync.Once
 	invSigma  linalg.Vector
 	logCoeffs []float64 // per-component log(w_i/Σw) − Σ log σ_d − D/2·log 2π
+
+	// cum[j] is the running sum of the positive weights through component
+	// pos[j], accumulated in randx.Categorical's order, so the last entry
+	// is Categorical's total bit for bit.
+	cum []float64
+	pos []int
 
 	// Structure-of-arrays means for the batched LogPDF: meansT[d*kpad+i] is
 	// component i's coordinate d, rows padded to a multiple of the kernel
@@ -187,8 +194,9 @@ type gmmScratch struct {
 	ops           []uint8
 }
 
-// prepare builds the LogPDF caches exactly once; Means/Sigma/Weights must
-// not be mutated after the first LogPDF/PDF call.
+// prepare builds the LogPDF and Sample caches exactly once;
+// Means/Sigma/Weights must not be mutated after the first LogPDF, PDF or
+// Sample call.
 func (g *GMM) prepare() { g.once.Do(g.buildCaches) }
 
 func (g *GMM) buildCaches() {
@@ -200,11 +208,11 @@ func (g *GMM) buildCaches() {
 		base -= math.Log(s)
 	}
 	totalW := 0.0
-	if g.Weights != nil {
-		for _, w := range g.Weights {
-			if w > 0 {
-				totalW += w
-			}
+	for i, w := range g.Weights {
+		if w > 0 {
+			totalW += w
+			g.cum = append(g.cum, totalW)
+			g.pos = append(g.pos, i)
 		}
 	}
 	g.logCoeffs = make([]float64, len(g.Means))
@@ -239,13 +247,44 @@ func (g *GMM) Sample(rng *rand.Rand) linalg.Vector {
 	if g.Weights == nil {
 		m = g.Means[rng.Intn(len(g.Means))]
 	} else {
-		m = g.Means[randx.Categorical(rng, g.Weights)]
+		m = g.Means[g.component(rng)]
 	}
 	x := make(linalg.Vector, len(m))
 	for i := range x {
 		x[i] = m[i] + g.Sigma[i]*rng.NormFloat64()
 	}
 	return x
+}
+
+// component draws a component index by weight. From the same rng state it
+// returns exactly randx.Categorical(rng, g.Weights): the scan there stops at
+// the first index whose running sum exceeds u, and the running sum only
+// grows at positive weights, so a binary search over the cached sums of the
+// positive weights finds the same index in O(log k) instead of O(k).
+func (g *GMM) component(rng *rand.Rand) int {
+	g.prepare()
+	n := len(g.cum)
+	total := 0.0
+	if n > 0 {
+		total = g.cum[n-1]
+	}
+	if total <= 0 {
+		return rng.Intn(len(g.Weights))
+	}
+	u := rng.Float64() * total
+	lo, hi := 0, n // first j with u < cum[j] lies in [lo, hi]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < g.cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == n {
+		return len(g.Weights) - 1
+	}
+	return g.pos[lo]
 }
 
 // LogPDF returns log Q(x) via a numerically stable log-sum-exp over the

@@ -331,6 +331,50 @@ func TestGMMZeroWeightComponentNeverSampled(t *testing.T) {
 	}
 }
 
+// TestGMMComponentMatchesCategorical pins the cached component draw to
+// randx.Categorical: from the same rng state both return the same index and
+// leave the rng in the same state, on weight vectors with zero, negative,
+// tiny and all-non-positive entries.
+func TestGMMComponentMatchesCategorical(t *testing.T) {
+	gen := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + gen.Intn(40)
+		if trial%10 == 0 {
+			k = 600 // the stage-2 proposal's pooled size
+		}
+		ws := make([]float64, k)
+		for i := range ws {
+			switch r := gen.Float64(); {
+			case r < 0.15:
+				ws[i] = 0
+			case r < 0.25:
+				ws[i] = -gen.Float64()
+			case r < 0.30:
+				ws[i] = 1e-300 * gen.Float64()
+			default:
+				ws[i] = gen.ExpFloat64()
+			}
+		}
+		if trial%25 == 0 {
+			for i := range ws {
+				ws[i] = -math.Abs(ws[i]) // no positive weight: uniform draw
+			}
+		}
+		g := &GMM{Means: make([]linalg.Vector, k), Sigma: linalg.Vector{1}, Weights: ws}
+		seed := gen.Int63()
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for d := 0; d < 300; d++ {
+			got, want := g.component(a), randx.Categorical(b, ws)
+			if got != want {
+				t.Fatalf("trial %d draw %d: component %d, Categorical %d (weights %v)", trial, d, got, want, ws)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("trial %d: rng states diverged", trial)
+		}
+	}
+}
+
 func TestImportanceSampleZeroFailures(t *testing.T) {
 	// A value that never fails: the estimate is exactly 0 and the series
 	// never satisfies any relative-error target.
