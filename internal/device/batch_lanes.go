@@ -41,7 +41,12 @@ func (b *ResolvedBatch) ensureScratch(n int) {
 // and FuzzResolvedBatchIds verify.
 func (b *ResolvedBatch) idsLanes(vg float64, vd []float64, vs, vb float64, active []bool, out []float64, add bool) {
 	n := len(vd)
-	b.ensureScratch(n)
+	// The softplus sweeps run over n padded to a multiple of the vector
+	// kernel's width, so a remainder chunk's last 1–3 lanes never drop to
+	// the scalar tail; the pad lanes stage the same dummy zero argument as
+	// inactive ones and are never read back.
+	np := (n + 3) &^ 3
+	b.ensureScratch(np)
 	pmos := b.pol == PMOS
 	g, s0, bb := vg, vs, vb
 	if pmos {
@@ -50,7 +55,7 @@ func (b *ResolvedBatch) idsLanes(vg float64, vd []float64, vs, vb float64, activ
 		g, s0, bb = -g, -s0, -bb
 	}
 	useTheta := b.theta > 0
-	argF, argR, argO := b.argF[:n], b.argR[:n], b.argO[:n]
+	argF, argR, argO := b.argF[:np], b.argR[:np], b.argO[:np]
 	clm, neg := b.clm[:n], b.neg[:n]
 	for l := 0; l < n; l++ {
 		if active != nil && !active[l] {
@@ -90,11 +95,14 @@ func (b *ResolvedBatch) idsLanes(vg float64, vd []float64, vs, vb float64, activ
 		argO[l] = uf
 		clm[l] = 1 + b.lambda*vds
 	}
+	for l := n; l < np; l++ {
+		argF[l], argR[l], argO[l] = 0, 0, 0
+	}
 
-	vecmath.Softplus(b.spF[:n], argF)
-	vecmath.Softplus(b.spR[:n], argR)
+	vecmath.Softplus(b.spF[:np], argF)
+	vecmath.Softplus(b.spR[:np], argR)
 	if useTheta {
-		vecmath.Softplus(b.spO[:n], argO)
+		vecmath.Softplus(b.spO[:np], argO)
 	}
 
 	for l := 0; l < n; l++ {

@@ -30,7 +30,7 @@ func TestResolvedBatchMatchesResolved(t *testing.T) {
 	for _, d := range batchPrototypes() {
 		d := d
 		t.Run(d.Pol.String(), func(t *testing.T) {
-			for _, lanes := range []int{1, 3, 64, 65} {
+			for _, lanes := range []int{1, 2, 3, 4, 5, 6, 7, 64, 65} {
 				dvth := make([]float64, lanes)
 				for l := range dvth {
 					dvth[l] = 0.25 * rng.NormFloat64()
@@ -43,6 +43,7 @@ func TestResolvedBatchMatchesResolved(t *testing.T) {
 
 				vd := make([]float64, lanes)
 				out := make([]float64, lanes)
+				active := make([]bool, lanes)
 				for trial := 0; trial < 50; trial++ {
 					vg := -0.2 + 1.2*rng.Float64()
 					vs := -0.2 + 1.2*rng.Float64()
@@ -72,6 +73,23 @@ func TestResolvedBatchMatchesResolved(t *testing.T) {
 						want := prev[l] + laneRefIds(d, dvth[l], vg, vd[l], vs, vb)
 						if math.Float64bits(out[l]) != math.Float64bits(want) {
 							t.Fatalf("lane %d: AddIds=%g want %g", l, out[l], want)
+						}
+					}
+					// Under a random mask, active lanes are exact and
+					// inactive ones are left untouched.
+					const sentinel = -123.5
+					for l := range out {
+						active[l] = rng.Intn(2) == 0
+						out[l] = sentinel
+					}
+					b.StoreIds(vg, vd, vs, vb, active, out)
+					for l := range out {
+						want := laneRefIds(d, dvth[l], vg, vd[l], vs, vb)
+						if !active[l] {
+							want = sentinel
+						}
+						if math.Float64bits(out[l]) != math.Float64bits(want) {
+							t.Fatalf("lane %d (active %v): masked StoreIds=%g want %g", l, active[l], out[l], want)
 						}
 					}
 				}
