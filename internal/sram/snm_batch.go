@@ -6,23 +6,28 @@ import "sync"
 // so the batch hot path — called from many goroutines at the engine's batch
 // barriers — allocates nothing per chunk.
 type batchScratch struct {
-	shiftBuf             []float64
-	half                 halfCellBatch
-	lanes                laneState
-	vmin, laneLo, laneHi []float64
-	in                   []float64
-	rowsA, rowsB         []float64 // grid-major: rows[i*lanes+l]
-	aOut, bOut           []float64 // per-lane gather for the rotation step
-	ra, rb               rotCurve
+	shiftBuf     []float64
+	half         halfCellBatch
+	lanes        []vtcLane
+	x, f         []float64 // per-lane evaluation point and residual
+	active       []bool
+	in           []float64
+	rowsA, rowsB []float64 // grid-major: rows[i*lanes+l]
+	aOut, bOut   []float64 // per-lane gather for the rotation step
+	ra, rb       rotCurve
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func (st *batchScratch) resize(lanes, gridN int) {
 	pts := gridN + 1
-	st.vmin = growF(st.vmin, lanes)
-	st.laneLo = growF(st.laneLo, lanes)
-	st.laneHi = growF(st.laneHi, lanes)
+	if cap(st.lanes) < lanes {
+		st.lanes = make([]vtcLane, lanes)
+	}
+	st.lanes = st.lanes[:lanes]
+	st.x = growF(st.x, lanes)
+	st.f = growF(st.f, lanes)
+	st.active = growB(st.active, lanes)
 	st.in = growF(st.in, pts)
 	st.rowsA = growF(st.rowsA, pts*lanes)
 	st.rowsB = growF(st.rowsB, pts*lanes)

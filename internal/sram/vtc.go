@@ -99,28 +99,29 @@ func (h *halfCell) current(vin, v float64) float64 {
 	return iDrv + iLoad + iAcc
 }
 
-// Root-solve tolerances. xtol bounds the bracket width; the residual early
-// exit accepts a root once |f| falls below solveFtolRel times the entry
-// bracket's residual scale. The relative form matters: the KCL residual
-// spans microamps at nominal supply down to picoamps in a data-retention
-// search at tens of millivolts, so no absolute threshold is simultaneously
-// safe and useful. Dividing by the local conductance, a 1e-6-relative
-// residual pins the root to well under a microvolt of bracket width —
-// far inside every downstream tolerance — while skipping the last
-// interpolation steps, whose residuals shrink superlinearly.
+// Root-solve tolerances. solveXtol bounds the bracket width of both
+// solvers. solve's residual early exit accepts a root once |f| falls below
+// solveFtolRel times the entry bracket's residual scale (the relative form
+// matters: the KCL residual spans microamps at nominal supply down to
+// picoamps in a data-retention search at tens of millivolts). The VTC
+// sweep's continuation stops instead once a secant step is shorter than
+// solveStepTol: the secant converges superlinearly, so the point it stops
+// on is far closer to the root than the step, and no residual threshold
+// has to be scaled to the curve.
 const (
 	solveXtol    = 1e-10
 	solveFtolRel = 1e-6
+	solveStepTol = 1e-8
 )
 
 // solve finds the output voltage root of current(vin, ·) within [lo, hi]
 // using the Illinois variant of regula falsi (superlinear on this smooth
 // monotone residual), falling back to plain bisection steps whenever the
-// interpolated point stalls. The second return is the number of residual
+// interpolated point stalls. It serves the solves that have no neighbouring
+// grid point to continue from (HalfVTC, leakage, the N-curve); the VTC
+// sweeps use vtcLane. The second return is the number of residual
 // evaluations beyond the two bracket-entry ones — bracket-expansion steps
-// plus iteration-loop steps — which is what the solver telemetry bills as
-// "iterations": every one of them costs a full KCL residual (three Ids
-// calls), wherever it happens.
+// plus iteration-loop steps.
 func (h *halfCell) solve(vin, lo, hi float64, maxIter int) (float64, int) {
 	flo := h.current(vin, lo)
 	fhi := h.current(vin, hi)
@@ -183,6 +184,131 @@ func (h *halfCell) solve(vin, lo, hi float64, maxIter int) (float64, int) {
 	return 0.5 * (lo + hi), iters
 }
 
+// vtcLane is one curve's state in the continuation sweep along the input
+// grid: the roots of the two previous grid points, the residual slope
+// carried from the last one, and the secant iteration of the current
+// point. The scalar sweep (readVTCInto) and the lockstep sweep
+// (readVTCLanes) drive the same methods — startPoint, then observe on the
+// residual at next until done — so every lane performs exactly the
+// arithmetic of the scalar solve, NaN residuals included.
+//
+// Each point starts from the straight-line extrapolation 2·r(i−1) − r(i−2)
+// (r(−1) = r(−2) = Vdd, so point 0 starts at Vdd) and takes its first step
+// with the carried slope; point 0, with no slope yet, probes 10 mV toward
+// the root. Secant steps follow. The bracket [−0.2 V, r(i−1) + 1 µV] comes
+// from the residual's monotonicity (it rises with v and with vin, so the
+// root cannot exceed the previous one), its ends' signs are assumed rather
+// than evaluated, and every evaluation narrows it by its sign.
+type vtcLane struct {
+	r1, r2   float64 // roots at grid points i−1 and i−2
+	slope    float64 // ∂f/∂v estimate from the last point's final secant pair
+	hasSlope bool
+
+	lo, hi     float64 // bracket: f(lo) < 0 < f(hi)
+	loOK, hiOK bool    // the end's sign was evaluated, not assumed
+	x, f       float64 // the last evaluation
+	xp, fp     float64 // the one before it
+	next       float64 // where the next residual is evaluated
+	evals      int     // residual evaluations at the current point
+	exited     bool    // a step already left through an assumed end
+	done       bool
+}
+
+// begin resets the lane for a new sweep on a supply of vdd.
+func (s *vtcLane) begin(vdd float64) {
+	*s = vtcLane{r1: vdd, r2: vdd}
+}
+
+// startPoint opens the next grid point's solve.
+func (s *vtcLane) startPoint() {
+	s.lo, s.hi = -0.2, s.r1+1e-6
+	s.loOK, s.hiOK = false, false
+	s.evals, s.done, s.exited = 0, false, false
+	x0 := 2*s.r1 - s.r2
+	if !(x0 > s.lo && x0 < s.hi) {
+		x0 = 0.5 * (s.lo + s.hi)
+	}
+	s.next = x0
+}
+
+// observe takes the residual f at s.next and either places the next
+// evaluation or finishes the point (s.done, root in s.r1). maxIter caps the
+// evaluations per point.
+//
+// A step that leaves the open bracket takes the bracket midpoint, and so
+// does a NaN residual. Only the first step per point that leaves through
+// an end whose sign was only assumed does so; a second one evaluates that
+// end instead, so no root settles on an unverified end. An evaluated end
+// with the wrong sign becomes the opposite end, and the bracket widens by
+// 0.2 V past it, as in solve's expansion.
+func (s *vtcLane) observe(f float64, maxIter int) {
+	x := s.next
+	s.xp, s.fp = s.x, s.f
+	s.x, s.f = x, f
+	s.evals++
+	switch {
+	case f > 0:
+		s.hi, s.hiOK = x, true
+		if !(s.lo < x) {
+			s.lo = x - 0.2
+		}
+	case f < 0:
+		s.lo, s.loOK = x, true
+		if !(x < s.hi) {
+			s.hi = x + 0.2
+		}
+	case f == 0:
+		s.finish(x)
+		return
+	}
+
+	var nx float64
+	switch {
+	case f != f: // NaN: no step to take
+		nx = math.NaN()
+	case s.evals > 1:
+		nx = x - f*(x-s.xp)/(f-s.fp)
+	case s.hasSlope:
+		nx = x - f/s.slope
+	case f > 0:
+		nx = x - 0.01
+	default:
+		nx = x + 0.01
+	}
+	verify := false
+	if !(nx > s.lo && nx < s.hi) {
+		pastHi, pastLo := nx >= s.hi && !s.hiOK, nx <= s.lo && !s.loOK
+		switch {
+		case s.exited && pastHi:
+			nx, verify = s.hi, true
+		case s.exited && pastLo:
+			nx, verify = s.lo, true
+		default:
+			s.exited = s.exited || pastHi || pastLo
+			nx = 0.5 * (s.lo + s.hi)
+		}
+	}
+	// The first step rides on the carried slope, which can be stale by
+	// orders of magnitude where a device turns off along the grid, so only
+	// a secant step over this point's own evaluations may end the solve.
+	if s.evals >= maxIter || !verify && (s.evals > 1 && math.Abs(nx-x) < solveStepTol || s.hi-s.lo < solveXtol) {
+		s.finish(nx)
+		return
+	}
+	s.next = nx
+}
+
+// finish records root as the current point's solution and carries the
+// final secant pair's slope to the next point.
+func (s *vtcLane) finish(root float64) {
+	if s.evals > 1 {
+		s.slope = (s.f - s.fp) / (s.x - s.xp)
+		s.hasSlope = true
+	}
+	s.r2, s.r1 = s.r1, root
+	s.done = true
+}
+
 // HalfVTC solves the half-cell output voltage for input vin.
 func (c *Cell) HalfVTC(side Side, vin float64, sh Shifts, opts *VTCOptions) float64 {
 	var o VTCOptions
@@ -192,8 +318,9 @@ func (c *Cell) HalfVTC(side Side, vin float64, sh Shifts, opts *VTCOptions) floa
 	o.fill(c.Vdd)
 	h := c.half(side, sh, &o)
 	v, iters := h.solve(vin, -0.2, c.Vdd+0.2, o.BisectIter)
-	o.Telemetry.add(1, int64(iters))
-	recordGlobal(1, int64(iters))
+	evals := int64(iters) + 2 // the bracket-entry pair
+	o.Telemetry.add(1, evals)
+	recordGlobal(1, evals)
 	return v
 }
 
@@ -204,8 +331,8 @@ type Curve struct {
 }
 
 // ReadVTC samples the half-cell read transfer curve on a uniform input grid
-// of n+1 points spanning [0, Vdd]. The sweep exploits monotonicity: each
-// point's bracket is capped by the previous output.
+// of n+1 points spanning [0, Vdd]. The sweep continues each point's root
+// from the previous two, and the previous root caps its bracket.
 func (c *Cell) ReadVTC(side Side, sh Shifts, n int, opts *VTCOptions) Curve {
 	if n < 2 {
 		panic("sram: VTC grid too small")
@@ -222,38 +349,24 @@ func (c *Cell) ReadVTC(side Side, sh Shifts, n int, opts *VTCOptions) Curve {
 
 // readVTCInto is the allocation-free core of ReadVTC: it fills the
 // caller-provided in/out buffers (length n+1) from already-filled options.
-// The indicator hot path calls it with pooled buffers.
-//
-// The sweep exploits monotonicity from both ends. The anchor solve at
-// vin = Vdd yields the curve's minimum output, which tightens the lower
-// bracket endpoint of every grid point; the previous root tightens the
-// upper one (the VTC is non-increasing). Warm brackets roughly halve the
-// Illinois iterations per point, and the anchor doubles as the last grid
-// point, so an n-point sweep still costs n+1 solves.
+// The indicator hot path calls it with pooled buffers. The sweep runs from
+// vin = 0 to vin = Vdd by secant continuation (see vtcLane); every residual
+// evaluation is billed as one iteration.
 func (c *Cell) readVTCInto(side Side, sh Shifts, n int, o *VTCOptions, in, out []float64) {
 	h := c.half(side, sh, o)
-	vmin, it := h.solve(c.Vdd, -0.2, c.Vdd+0.2, o.BisectIter)
-	solves, iters := int64(1), int64(it)
-	// Guard band below the anchor: vmin is itself a solver output, so the
-	// true minimum may sit a solver tolerance beneath it. solve re-expands
-	// the bracket if even that is optimistic.
-	lo := vmin - 1e-6
-	hi := c.Vdd + 0.2
+	var s vtcLane
+	s.begin(c.Vdd)
+	iters := int64(0)
 	for i := 0; i <= n; i++ {
 		vin := c.Vdd * float64(i) / float64(n)
-		var v float64
-		if i == n {
-			v = vmin // the anchor already solved this grid point
-		} else {
-			v, it = h.solve(vin, lo, hi, o.BisectIter)
-			solves++
-			iters += int64(it)
+		s.startPoint()
+		for !s.done {
+			s.observe(h.current(vin, s.next), o.BisectIter)
 		}
+		iters += int64(s.evals)
 		in[i] = vin
-		out[i] = v
-		// The VTC is non-increasing: the next root lies at or below v.
-		hi = v + 1e-6
+		out[i] = s.r1
 	}
-	o.Telemetry.add(solves, iters)
-	recordGlobal(solves, iters)
+	o.Telemetry.add(int64(n+1), iters)
+	recordGlobal(int64(n+1), iters)
 }

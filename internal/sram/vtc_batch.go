@@ -1,22 +1,17 @@
 package sram
 
-import (
-	"math"
-
-	"ecripse/internal/device"
-)
+import "ecripse/internal/device"
 
 // This file is the lockstep (structure-of-arrays) counterpart of vtc.go:
-// the same anchor-and-sweep VTC solve, marched over a batch of shift
-// vectors ("lanes") at once. Each lane performs bit-for-bit the same
-// operation sequence as the scalar solver — the per-lane arithmetic below
-// is copied expression-for-expression from halfCell.solve/readVTCInto, and
-// lanes that converge are masked out of subsequent residual rounds, never
-// re-ordered — so results are pinned identical to the scalar path (see
-// FuzzNoiseMarginBatch). The throughput win is that every residual round
-// evaluates the KCL current of all live lanes in one pass over parallel
-// float64 slices, turning the latency-bound exp/sqrt chain of a single
-// Illinois iteration into independent per-lane work the CPU can overlap.
+// the same continuation sweep, marched over a batch of shift vectors
+// ("lanes") at once. Every lane runs its own vtcLane — the very methods the
+// scalar sweep calls — and lanes that finish a grid point are masked out of
+// the remaining residual rounds, never re-ordered, so results are pinned
+// identical to the scalar path (see FuzzNoiseMarginBatch). The throughput
+// win is that every residual round evaluates the KCL current of all live
+// lanes in one pass over parallel float64 slices, turning the
+// latency-bound exp/sqrt chain of a single secant step into independent
+// per-lane work the CPU can overlap.
 
 // halfCellBatch is the SoA counterpart of halfCell: one resolved lane batch
 // per device position, shared bias rails.
@@ -58,38 +53,6 @@ func (h *halfCellBatch) current(vin float64, v []float64, active []bool, out []f
 	h.access.AddIds(h.wl, v, h.bl, 0, active, out)
 }
 
-// laneState is the per-lane solver state of one lockstep batch, reused
-// across every solve of a sweep.
-type laneState struct {
-	lo, hi   []float64 // working bracket (caller loads per solve; mutated)
-	flo, fhi []float64
-	mid, fm  []float64
-	ftol     []float64
-	root     []float64
-	iters    []int64 // billed residual evals per lane, per solve
-	side     []int8
-	done     []bool
-	active   []bool
-
-	// Lane-occupancy tally across a sweep: every residual round adds the
-	// batch width to slots and the evaluated-lane count to occupied.
-	slots, occupied int64
-}
-
-func growI64(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-func growI8(buf []int8, n int) []int8 {
-	if cap(buf) < n {
-		return make([]int8, n)
-	}
-	return buf[:n]
-}
-
 func growB(buf []bool, n int) []bool {
 	if cap(buf) < n {
 		return make([]bool, n)
@@ -97,234 +60,56 @@ func growB(buf []bool, n int) []bool {
 	return buf[:n]
 }
 
-func (s *laneState) resize(n int) {
-	s.lo, s.hi = growF(s.lo, n), growF(s.hi, n)
-	s.flo, s.fhi = growF(s.flo, n), growF(s.fhi, n)
-	s.mid, s.fm = growF(s.mid, n), growF(s.fm, n)
-	s.ftol = growF(s.ftol, n)
-	s.root = growF(s.root, n)
-	s.iters = growI64(s.iters, n)
-	s.side = growI8(s.side, n)
-	s.done = growB(s.done, n)
-	s.active = growB(s.active, n)
-}
-
-// solveLanes runs halfCell.solve for every lane in lockstep: brackets come
-// in via s.lo/s.hi, roots land in s.root, and s.iters[l] is exactly what
-// the scalar solve would have returned for lane l. Every numeric step below
-// mirrors the scalar code verbatim (including its NaN behaviour: a NaN
-// residual never joins an expansion mask, forces the bisection fallback on
-// the interpolated point, and routes the degenerate return to hi).
-func (h *halfCellBatch) solveLanes(s *laneState, vin float64, maxIter int) {
-	n := len(s.lo)
-	lanes := int64(n)
-	for l := 0; l < n; l++ {
-		s.done[l] = false
-		s.side[l] = 0
-		s.iters[l] = 0
-	}
-	// Entry residuals at both bracket ends: two full-occupancy rounds.
-	h.current(vin, s.lo, nil, s.flo)
-	h.current(vin, s.hi, nil, s.fhi)
-	s.slots += 2 * lanes
-	s.occupied += 2 * lanes
-
-	// Bracket expansion. A lane joins round k iff its own residual still
-	// has the wrong sign — the same per-lane eval count as the scalar
-	// loops, just synchronized.
-	for k := 0; k < 8; k++ {
-		cnt := 0
-		for l := 0; l < n; l++ {
-			a := s.flo[l] > 0
-			s.active[l] = a
-			if a {
-				s.lo[l] -= 0.2
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			break
-		}
-		h.current(vin, s.lo, s.active, s.flo)
-		for l := 0; l < n; l++ {
-			if s.active[l] {
-				s.iters[l]++
-			}
-		}
-		s.slots += lanes
-		s.occupied += int64(cnt)
-	}
-	for k := 0; k < 8; k++ {
-		cnt := 0
-		for l := 0; l < n; l++ {
-			a := s.fhi[l] < 0
-			s.active[l] = a
-			if a {
-				s.hi[l] += 0.2
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			break
-		}
-		h.current(vin, s.hi, s.active, s.fhi)
-		for l := 0; l < n; l++ {
-			if s.active[l] {
-				s.iters[l]++
-			}
-		}
-		s.slots += lanes
-		s.occupied += int64(cnt)
-	}
-
-	// Post-bracket finalization: degenerate brackets and residual early
-	// accepts retire their lanes before the iteration loop starts.
-	for l := 0; l < n; l++ {
-		flo, fhi := s.flo[l], s.fhi[l]
-		if flo > 0 || fhi < 0 {
-			if math.Abs(flo) < math.Abs(fhi) {
-				s.root[l] = s.lo[l]
-			} else {
-				s.root[l] = s.hi[l]
-			}
-			s.done[l] = true
-			continue
-		}
-		ftol := solveFtolRel * math.Max(-flo, fhi)
-		s.ftol[l] = ftol
-		if flo >= -ftol {
-			s.root[l] = s.lo[l]
-			s.done[l] = true
-			continue
-		}
-		if fhi <= ftol {
-			s.root[l] = s.hi[l]
-			s.done[l] = true
-		}
-	}
-
-	// Lockstep Illinois iteration. Converged lanes drop out of the mask;
-	// live lanes step exactly as the scalar loop body does.
-	for i := 0; i < maxIter; i++ {
-		cnt := 0
-		for l := 0; l < n; l++ {
-			if s.done[l] {
-				s.active[l] = false
-				continue
-			}
-			lo, hi := s.lo[l], s.hi[l]
-			if !(hi-lo > solveXtol) {
-				s.root[l] = 0.5 * (lo + hi)
-				s.done[l] = true
-				s.active[l] = false
-				continue
-			}
-			flo, fhi := s.flo[l], s.fhi[l]
-			var mid float64
-			if fhi != flo {
-				mid = lo - flo*(hi-lo)/(fhi-flo)
-			}
-			// Keep the step inside the bracket; degrade to bisection otherwise.
-			if !(mid > lo && mid < hi) {
-				mid = 0.5 * (lo + hi)
-			}
-			s.mid[l] = mid
-			s.active[l] = true
-			cnt++
-		}
-		if cnt == 0 {
-			return
-		}
-		h.current(vin, s.mid, s.active, s.fm)
-		s.slots += lanes
-		s.occupied += int64(cnt)
-		for l := 0; l < n; l++ {
-			if !s.active[l] {
-				continue
-			}
-			s.iters[l]++
-			fm := s.fm[l]
-			if fm >= -s.ftol[l] && fm <= s.ftol[l] {
-				s.root[l] = s.mid[l]
-				s.done[l] = true
-				continue
-			}
-			if fm > 0 {
-				s.hi[l], s.fhi[l] = s.mid[l], fm
-				if s.side[l] == +1 {
-					s.flo[l] *= 0.5 // Illinois trick: avoid endpoint stagnation
-				}
-				s.side[l] = +1
-			} else {
-				s.lo[l], s.flo[l] = s.mid[l], fm
-				if s.side[l] == -1 {
-					s.fhi[l] *= 0.5
-				}
-				s.side[l] = -1
-			}
-		}
-	}
-	// Iteration budget exhausted: bracket midpoint, as in the scalar solver.
-	for l := 0; l < n; l++ {
-		if !s.done[l] {
-			s.root[l] = 0.5 * (s.lo[l] + s.hi[l])
-			s.done[l] = true
-		}
-	}
-}
-
 // readVTCLanes is the lockstep counterpart of readVTCInto: it sweeps the
-// half-cell transfer curve of every lane in st over the shared input grid,
+// half-cell transfer curve of every lane in shs over the shared input grid,
 // writing grid-major rows (rows[i*lanes+l] = lane l's output at grid point
-// i) and the shared grid into in (length n+1). Warm bracketing is per lane:
-// each lane's anchor tightens its own lower endpoint and its previous root
-// its own upper one, exactly as in the scalar sweep.
+// i) and the shared grid into in (length n+1). Each residual round
+// evaluates every lane still solving the current grid point, so the
+// occupied lane slots equal the billed iterations.
 func (c *Cell) readVTCLanes(side Side, shs []Shifts, n int, o *VTCOptions, st *batchScratch, in, rows []float64) {
 	lanes := len(shs)
 	st.shiftBuf = c.halfLanes(side, shs, o, st.shiftBuf, &st.half)
-	s := &st.lanes
-	s.resize(lanes)
-	s.slots, s.occupied = 0, 0
-
-	// Anchor solve at vin = Vdd: each lane's curve minimum.
-	for l := 0; l < lanes; l++ {
-		s.lo[l] = -0.2
-		s.hi[l] = c.Vdd + 0.2
+	ls := st.lanes
+	for l := range ls {
+		ls[l].begin(c.Vdd)
 	}
-	st.half.solveLanes(s, c.Vdd, o.BisectIter)
-	solves, iters := int64(lanes), int64(0)
-	for l := 0; l < lanes; l++ {
-		iters += s.iters[l]
-		st.vmin[l] = s.root[l]
-		// Guard band below the anchor, as in the scalar sweep.
-		st.laneLo[l] = s.root[l] - 1e-6
-		st.laneHi[l] = c.Vdd + 0.2
-	}
-
+	var slots, occupied int64
 	for i := 0; i <= n; i++ {
 		vin := c.Vdd * float64(i) / float64(n)
-		row := rows[i*lanes : (i+1)*lanes]
-		if i == n {
-			copy(row, st.vmin) // the anchor already solved this grid point
-		} else {
-			copy(s.lo, st.laneLo)
-			copy(s.hi, st.laneHi)
-			st.half.solveLanes(s, vin, o.BisectIter)
-			solves += int64(lanes)
-			for l := 0; l < lanes; l++ {
-				iters += s.iters[l]
+		for l := range ls {
+			ls[l].startPoint()
+		}
+		for {
+			cnt := 0
+			for l := range ls {
+				a := !ls[l].done
+				st.active[l] = a
+				if a {
+					st.x[l] = ls[l].next
+					cnt++
+				}
 			}
-			copy(row, s.root)
+			if cnt == 0 {
+				break
+			}
+			st.half.current(vin, st.x, st.active, st.f)
+			slots += int64(lanes)
+			occupied += int64(cnt)
+			for l := range ls {
+				if st.active[l] {
+					ls[l].observe(st.f[l], o.BisectIter)
+				}
+			}
+		}
+		row := rows[i*lanes : (i+1)*lanes]
+		for l := range ls {
+			row[l] = ls[l].r1
 		}
 		in[i] = vin
-		// The VTC is non-increasing: each lane's next root lies at or
-		// below its current one.
-		for l := 0; l < lanes; l++ {
-			st.laneHi[l] = row[l] + 1e-6
-		}
 	}
-	o.Telemetry.add(solves, iters)
-	o.Telemetry.addLanes(s.slots, s.occupied)
-	recordGlobal(solves, iters)
-	recordGlobalLanes(s.slots, s.occupied)
+	solves := int64(n+1) * int64(lanes)
+	o.Telemetry.add(solves, occupied)
+	o.Telemetry.addLanes(slots, occupied)
+	recordGlobal(solves, occupied)
+	recordGlobalLanes(slots, occupied)
 }
