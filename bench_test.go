@@ -62,7 +62,10 @@ func BenchmarkFig5Butterfly(b *testing.B) {
 func BenchmarkFig6ProposedVsConventional(b *testing.B) {
 	var propSims, convSims, speedup float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6(int64(i+1), experiments.Smoke)
+		r, err := experiments.Fig6(int64(i+1), experiments.Smoke)
+		if err != nil {
+			b.Fatal(err)
+		}
 		propSims += float64(r.Proposed.Estimate.Sims)
 		convSims += float64(r.Conventional.Estimate.Sims)
 		speedup += r.SpeedupAtMatchedError
@@ -77,7 +80,10 @@ func BenchmarkFig6ProposedVsConventional(b *testing.B) {
 func BenchmarkFig7ProposedVsNaive(b *testing.B) {
 	var propSims, naiveSims float64
 	for i := 0; i < b.N; i++ {
-		r, _ := experiments.Fig7(int64(i+1), experiments.Smoke, 0.3, nil)
+		r, _, err := experiments.Fig7(int64(i+1), experiments.Smoke, 0.3, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		propSims += float64(r.Proposed.Estimate.Sims)
 		naiveSims += float64(r.Naive.Estimate.Sims)
 	}
@@ -91,7 +97,10 @@ func BenchmarkFig7ProposedVsNaive(b *testing.B) {
 func BenchmarkFig8DutySweep(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8(int64(i+1), experiments.Smoke)
+		r, err := experiments.Fig8(int64(i+1), experiments.Smoke)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ratio += r.WorstOverRDF
 	}
 	b.ReportMetric(ratio/float64(b.N), "rtn-over-rdf")
@@ -105,7 +114,10 @@ func ablationRun(b *testing.B, opts core.Options) (sims float64, p float64) {
 	var simsTotal, pTotal float64
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
-		res := core.RDFOnly(rng, cell, opts)
+		res, err := core.RDFOnly(rng, cell, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		simsTotal += float64(res.Estimate.Sims)
 		pTotal += res.Estimate.P
 	}
@@ -176,8 +188,14 @@ func BenchmarkAblationInitReuse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
 		eng := core.NewEngine(cell, nil, core.Options{NIS: 10000, M: 5})
-		r1 := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.3))
-		r2 := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.5))
+		r1, err := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r2, err := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.5))
+		if err != nil {
+			b.Fatal(err)
+		}
 		first += float64(r1.Estimate.Sims)
 		second += float64(r2.Estimate.Sims)
 	}

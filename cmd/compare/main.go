@@ -33,16 +33,28 @@ func main() {
 
 	switch *fig {
 	case 6:
-		r := experiments.Fig6(*seed, scale)
+		r, err := experiments.Fig6(*seed, scale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "compare:", err)
+			os.Exit(1)
+		}
 		r.Write(os.Stdout)
 		if *diag {
 			experiments.WriteDiag(os.Stdout, r.Proposed.Name, r.ProposedDiag)
 		}
 	case 7:
 		if *both {
-			r1, eng := experiments.Fig7(*seed, scale, 0.3, nil)
+			r1, eng, err := experiments.Fig7(*seed, scale, 0.3, nil)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "compare:", err)
+				os.Exit(1)
+			}
 			r1.Write(os.Stdout)
-			r2, _ := experiments.Fig7(*seed+1, scale, 0.5, eng)
+			r2, _, err := experiments.Fig7(*seed+1, scale, 0.5, eng)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "compare:", err)
+				os.Exit(1)
+			}
 			r2.Write(os.Stdout)
 			fmt.Printf("# shared initialization: panel (b) used %d sims vs panel (a) %d\n",
 				r2.Proposed.Estimate.Sims, r1.Proposed.Estimate.Sims)
@@ -51,7 +63,11 @@ func main() {
 				experiments.WriteDiag(os.Stdout, r2.Proposed.Name, r2.ProposedDiag)
 			}
 		} else {
-			r, _ := experiments.Fig7(*seed, scale, *alpha, nil)
+			r, _, err := experiments.Fig7(*seed, scale, *alpha, nil)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "compare:", err)
+				os.Exit(1)
+			}
 			r.Write(os.Stdout)
 			if *diag {
 				experiments.WriteDiag(os.Stdout, r.Proposed.Name, r.ProposedDiag)

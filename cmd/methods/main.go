@@ -27,5 +27,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "methods:", err)
 		os.Exit(2)
 	}
-	experiments.Methods(*seed, scale, *vdd).Write(os.Stdout)
+	r, err := experiments.Methods(*seed, scale, *vdd)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "methods:", err)
+		os.Exit(1)
+	}
+	r.Write(os.Stdout)
 }

@@ -68,9 +68,13 @@ func main() {
 		est := ecripse.New(cell, ecripse.Options{NIS: *nis, Mode: failMode})
 		var res ecripse.Result
 		if *withRTN {
-			res = est.FailureProbabilityRTN(*seed, ecripse.TableIRTN(cell), *alpha)
+			res, err = est.FailureProbabilityRTN(*seed, ecripse.TableIRTN(cell), *alpha)
 		} else {
-			res = est.FailureProbability(*seed)
+			res, err = est.FailureProbability(*seed)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "yield: vdd %.3f: %v\n", vdd, err)
+			os.Exit(1)
 		}
 		p := res.Estimate.P
 		var y float64

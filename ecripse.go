@@ -13,11 +13,14 @@
 //
 //	cell := ecripse.NewCell(ecripse.VddNominal)
 //	est := ecripse.New(cell, ecripse.Options{})
-//	res := est.FailureProbability(1) // RDF-only, seed 1
+//	res, err := est.FailureProbability(1) // RDF-only, seed 1
+//	if err != nil {
+//		log.Fatal(err) // e.g. no failure region within the search radius
+//	}
 //	fmt.Println(res.Estimate)
 //
 //	cfg := ecripse.TableIRTN(cell)
-//	withRTN := est.FailureProbabilityRTN(1, cfg, 0.5) // duty ratio 0.5
+//	withRTN, err := est.FailureProbabilityRTN(1, cfg, 0.5) // duty ratio 0.5
 //
 // The cost model matches the paper: every estimator routes its
 // transistor-level simulations through one counter, and Result.Series is the
@@ -27,6 +30,7 @@ package ecripse
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	"ecripse/internal/blockade"
@@ -157,10 +161,18 @@ func New(cell *Cell, opts Options) *Estimator {
 // Simulations returns the total transistor-level simulations consumed so far.
 func (e *Estimator) Simulations() int64 { return e.engine.Counter.Count() }
 
+// ErrNoFailureRegion is the error a run returns when boundary search finds
+// no failing direction within the search radius: the estimator stops there
+// with no estimate, rather than report a probability of zero. Test for it
+// with errors.Is.
+var ErrNoFailureRegion = core.ErrNoFailureRegion
+
 // FailureProbability estimates the RDF-only failure probability
 // (the configuration of the paper's Fig. 6 and the 1.33e-4 reference).
-func (e *Estimator) FailureProbability(seed int64) Result {
-	return e.engine.Run(rand.New(rand.NewSource(seed)), nil)
+// A run that ends without an estimate returns an error, such as one
+// wrapping ErrNoFailureRegion.
+func (e *Estimator) FailureProbability(seed int64) (Result, error) {
+	return e.FailureProbabilityCtx(context.Background(), seed)
 }
 
 // FailureProbabilityCtx is FailureProbability with cancellation: when ctx
@@ -173,10 +185,10 @@ func (e *Estimator) FailureProbabilityCtx(ctx context.Context, seed int64) (Resu
 }
 
 // FailureProbabilityRTN estimates the RTN-aware failure probability at the
-// storage duty ratio alpha (eqs. (11)–(13)).
-func (e *Estimator) FailureProbabilityRTN(seed int64, cfg RTNConfig, alpha float64) Result {
-	sampler := rtn.NewSampler(e.cell, cfg, alpha)
-	return e.engine.Run(rand.New(rand.NewSource(seed)), sampler)
+// storage duty ratio alpha (eqs. (11)–(13)), with FailureProbability's
+// errors.
+func (e *Estimator) FailureProbabilityRTN(seed int64, cfg RTNConfig, alpha float64) (Result, error) {
+	return e.FailureProbabilityRTNCtx(context.Background(), seed, cfg, alpha)
 }
 
 // FailureProbabilityRTNCtx is FailureProbabilityRTN with cancellation (see
@@ -196,15 +208,20 @@ func (e *Estimator) LimitSims(max int64, stop func()) {
 }
 
 // DutySweep runs the Fig. 8 workload: one RTN-aware estimate per duty
-// ratio, sharing initialization and classifier across all points.
-func (e *Estimator) DutySweep(seed int64, cfg RTNConfig, alphas []float64) []SweepPoint {
+// ratio, sharing initialization and classifier across all points. It stops
+// at the first point whose run fails and returns the points before it with
+// that error.
+func (e *Estimator) DutySweep(seed int64, cfg RTNConfig, alphas []float64) ([]SweepPoint, error) {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]SweepPoint, 0, len(alphas))
 	for _, a := range alphas {
-		res := e.engine.Run(rng, rtn.NewSampler(e.cell, cfg, a))
+		res, err := e.engine.Run(rng, rtn.NewSampler(e.cell, cfg, a))
+		if err != nil {
+			return out, fmt.Errorf("duty sweep at alpha %g: %w", a, err)
+		}
 		out = append(out, SweepPoint{Alpha: a, Result: res})
 	}
-	return out
+	return out, nil
 }
 
 // NaiveMC runs the naive Monte Carlo baseline (paper eq. (2)): n trials at

@@ -1,6 +1,7 @@
 package ecripse
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -8,7 +9,10 @@ import (
 func TestPublicQuickstartFlow(t *testing.T) {
 	cell := NewCell(VddLow)
 	est := New(cell, Options{NIS: 40000})
-	res := est.FailureProbability(1)
+	res, err := est.FailureProbability(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Naive-MC reference at 0.5 V: ≈3.86e-3.
 	if res.Estimate.P < 2.5e-3 || res.Estimate.P > 5.5e-3 {
 		t.Fatalf("Pfail = %v", res.Estimate.P)
@@ -22,8 +26,14 @@ func TestPublicRTNWorseThanRDF(t *testing.T) {
 	cell := NewCell(VddLow)
 	est := New(cell, Options{NIS: 30000, M: 10})
 	cfg := TableIRTN(cell)
-	rdf := est.FailureProbability(2)
-	withRTN := est.FailureProbabilityRTN(2, cfg, 0.3)
+	rdf, err := est.FailureProbability(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withRTN, err := est.FailureProbabilityRTN(2, cfg, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if withRTN.Estimate.P <= rdf.Estimate.P {
 		t.Fatalf("RTN %v not worse than RDF %v", withRTN.Estimate.P, rdf.Estimate.P)
 	}
@@ -33,7 +43,10 @@ func TestPublicDutySweep(t *testing.T) {
 	cell := NewCell(VddLow)
 	est := New(cell, Options{NIS: 8000, M: 5})
 	cfg := TableIRTN(cell)
-	pts := est.DutySweep(3, cfg, []float64{0.2, 0.8})
+	pts, err := est.DutySweep(3, cfg, []float64{0.2, 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -41,6 +54,24 @@ func TestPublicDutySweep(t *testing.T) {
 		if p.Result.Estimate.P <= 0 {
 			t.Fatalf("alpha %v: zero estimate", p.Alpha)
 		}
+	}
+}
+
+// TestPublicNoFailureRegionIsAnError pins that a spec with no failure
+// region within the search radius — hold mode at 0.7 V — reaches the
+// caller as ErrNoFailureRegion, not as a zero estimate.
+func TestPublicNoFailureRegionIsAnError(t *testing.T) {
+	est := New(NewCell(0.7), Options{Mode: HoldFailure, NIS: 2000})
+	res, err := est.FailureProbability(1)
+	if !errors.Is(err, ErrNoFailureRegion) {
+		t.Fatalf("err = %v (estimate %v), want ErrNoFailureRegion", err, res.Estimate)
+	}
+	if _, err := est.FailureProbabilityRTN(1, TableIRTN(est.cell), 0.5); !errors.Is(err, ErrNoFailureRegion) {
+		t.Fatalf("RTN: err = %v, want ErrNoFailureRegion", err)
+	}
+	pts, err := est.DutySweep(1, TableIRTN(est.cell), []float64{0, 1})
+	if !errors.Is(err, ErrNoFailureRegion) || len(pts) != 0 {
+		t.Fatalf("sweep: %d points, err = %v, want none and ErrNoFailureRegion", len(pts), err)
 	}
 }
 
@@ -160,7 +191,10 @@ func TestPublicSeedConsistency(t *testing.T) {
 	var ps, cis []float64
 	for seed := int64(1); seed <= 3; seed++ {
 		est := New(cell, Options{NIS: 40000})
-		r := est.FailureProbability(seed)
+		r, err := est.FailureProbability(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ps = append(ps, r.Estimate.P)
 		cis = append(cis, r.Estimate.CI95)
 	}

@@ -2,6 +2,7 @@ package ecripse_test
 
 import (
 	"fmt"
+	"log"
 
 	"ecripse"
 )
@@ -12,9 +13,15 @@ func Example() {
 	cell := ecripse.NewCell(ecripse.VddLow)
 	est := ecripse.New(cell, ecripse.Options{NIS: 60000})
 
-	rdf := est.FailureProbability(1)
+	rdf, err := est.FailureProbability(1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := ecripse.TableIRTN(cell)
-	withRTN := est.FailureProbabilityRTN(1, cfg, 0.3)
+	withRTN, err := est.FailureProbabilityRTN(1, cfg, 0.3)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("RTN worsens Pfail: %v\n", withRTN.Estimate.P > rdf.Estimate.P)
 	fmt.Printf("simulations stayed below 10%% of samples: %v\n",
@@ -63,7 +70,10 @@ func ExampleEstimator_DutySweep() {
 	est := ecripse.New(cell, ecripse.Options{NIS: 20000, M: 5})
 	cfg := ecripse.TableIRTN(cell)
 
-	pts := est.DutySweep(3, cfg, []float64{0, 0.5, 1})
+	pts, err := est.DutySweep(3, cfg, []float64{0, 0.5, 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("minimum at alpha=0.5: %v\n",
 		pts[1].Result.Estimate.P < pts[0].Result.Estimate.P &&
 			pts[1].Result.Estimate.P < pts[2].Result.Estimate.P)

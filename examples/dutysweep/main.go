@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 	"strings"
 
@@ -19,8 +20,14 @@ func main() {
 	est := ecripse.New(cell, ecripse.Options{NIS: 40000, M: 10})
 
 	alphas := []float64{0, 0.25, 0.5, 0.75, 1.0}
-	pts := est.DutySweep(1, cfg, alphas)
-	rdf := est.FailureProbability(2)
+	pts, err := est.DutySweep(1, cfg, alphas)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rdf, err := est.FailureProbability(2)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("RTN-aware failure probability vs duty ratio (Vdd = %.2f V)\n\n", cell.Vdd)
 	maxP := rdf.Estimate.P

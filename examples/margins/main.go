@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"ecripse"
 )
@@ -52,5 +53,9 @@ func probability(base *ecripse.Cell, accessShift float64, mode ecripse.FailureMo
 	cell.Devs[ecripse.A1].DVth = accessShift
 	cell.Devs[ecripse.A2].DVth = accessShift
 	est := ecripse.New(cell, ecripse.Options{NIS: 20000, Mode: mode})
-	return est.FailureProbability(1).Estimate.P
+	res, err := est.FailureProbability(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Estimate.P
 }

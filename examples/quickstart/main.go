@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"ecripse"
 )
@@ -20,12 +21,18 @@ func main() {
 
 	est := ecripse.New(cell, ecripse.Options{NIS: 100000, M: 10})
 
-	rdf := est.FailureProbability(1)
+	rdf, err := est.FailureProbability(1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("RDF-only (process variation only):")
 	fmt.Printf("  %v\n\n", rdf.Estimate)
 
 	cfg := ecripse.TableIRTN(cell)
-	withRTN := est.FailureProbabilityRTN(1, cfg, 0.3)
+	withRTN, err := est.FailureProbabilityRTN(1, cfg, 0.3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("RTN-aware (duty ratio 0.3):")
 	fmt.Printf("  %v\n\n", withRTN.Estimate)
 

@@ -132,7 +132,7 @@ func TestPipelinedParallelismMatrix(t *testing.T) {
 			for _, par := range pars {
 				opts := tc.opts
 				opts.Parallelism = par
-				res := NewEngine(cell, nil, opts).Run(rand.New(rand.NewSource(91)), sampler)
+				res := mustRun(t, NewEngine(cell, nil, opts), rand.New(rand.NewSource(91)), sampler)
 				requireRunAccounting(t, tc.opts, res)
 				got := newEngineBits(t, res)
 				if update && par == 1 {

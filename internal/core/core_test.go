@@ -37,7 +37,7 @@ func TestOptionsFillDefaults(t *testing.T) {
 func TestRDFOnlyMatchesNaiveReference(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	rng := rand.New(rand.NewSource(42))
-	res := RDFOnly(rng, cell, Options{NIS: 120000})
+	res := mustRDFOnly(t, rng, cell, Options{NIS: 120000})
 	p := res.Estimate.P
 	if p < refRDF05*0.7 || p > refRDF05*1.3 {
 		t.Fatalf("RDF-only Pfail = %v, reference %v", p, refRDF05)
@@ -53,7 +53,7 @@ func TestRTNMatchesNaiveReference(t *testing.T) {
 	cfg := rtn.TableIConfig(cell)
 	rng := rand.New(rand.NewSource(43))
 	eng := NewEngine(cell, nil, Options{NIS: 40000, M: 10})
-	res := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.3))
+	res := mustRun(t, eng, rng, rtn.NewSampler(cell, cfg, 0.3))
 	p := res.Estimate.P
 	if p < refRTN05*0.7 || p > refRTN05*1.3 {
 		t.Fatalf("RTN Pfail = %v, reference %v", p, refRTN05)
@@ -66,8 +66,8 @@ func TestRTNWorsensFailureProbability(t *testing.T) {
 	cfg := rtn.TableIConfig(cell)
 	rng := rand.New(rand.NewSource(44))
 	eng := NewEngine(cell, nil, Options{NIS: 60000, M: 10})
-	rdf := eng.Run(rng, nil)
-	rtnRes := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.5))
+	rdf := mustRun(t, eng, rng, nil)
+	rtnRes := mustRun(t, eng, rng, rtn.NewSampler(cell, cfg, 0.5))
 	if rtnRes.Estimate.P < 1.5*rdf.Estimate.P {
 		t.Fatalf("RTN-aware %v not clearly above RDF-only %v", rtnRes.Estimate.P, rdf.Estimate.P)
 	}
@@ -78,8 +78,8 @@ func TestSharedInitializationSavesSims(t *testing.T) {
 	cfg := rtn.TableIConfig(cell)
 	rng := rand.New(rand.NewSource(45))
 	eng := NewEngine(cell, nil, Options{NIS: 5000, M: 5})
-	first := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.3))
-	second := eng.Run(rng, rtn.NewSampler(cell, cfg, 0.5))
+	first := mustRun(t, eng, rng, rtn.NewSampler(cell, cfg, 0.3))
+	second := mustRun(t, eng, rng, rtn.NewSampler(cell, cfg, 0.5))
 	// The second bias point reuses boundary particles and the trained
 	// classifier (the Fig. 7(b) observation).
 	if second.Estimate.Sims >= first.Estimate.Sims {
@@ -88,6 +88,27 @@ func TestSharedInitializationSavesSims(t *testing.T) {
 	if eng.Initial() == nil {
 		t.Fatal("initial particles missing after runs")
 	}
+}
+
+// mustRun is Engine.Run for a spec that has a failure region: any error
+// fails the test.
+func mustRun(t testing.TB, eng *Engine, rng *rand.Rand, sampler *rtn.Sampler) Result {
+	t.Helper()
+	res, err := eng.Run(rng, sampler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustRDFOnly is RDFOnly for a spec that has a failure region.
+func mustRDFOnly(t testing.TB, rng *rand.Rand, cell *sram.Cell, opts Options) Result {
+	t.Helper()
+	res, err := RDFOnly(rng, cell, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestNoFailureRegionIsAnError: when no direction fails within RMax, the
@@ -142,7 +163,10 @@ func TestDutySweepShape(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	cfg := rtn.TableIConfig(cell)
 	rng := rand.New(rand.NewSource(47))
-	pts := DutySweep(rng, cell, cfg, []float64{0, 0.5, 1}, Options{NIS: 40000, M: 10})
+	pts, err := DutySweep(rng, cell, cfg, []float64{0, 0.5, 1}, Options{NIS: 40000, M: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -158,9 +182,9 @@ func TestDutySweepShape(t *testing.T) {
 func TestNoClassifierAgreesWithBlockade(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	rngA := rand.New(rand.NewSource(48))
-	withC := RDFOnly(rngA, cell, Options{NIS: 60000})
+	withC := mustRDFOnly(t, rngA, cell, Options{NIS: 60000})
 	rngB := rand.New(rand.NewSource(48))
-	without := RDFOnly(rngB, cell, Options{NIS: 20000, NoClassifier: true})
+	without := mustRDFOnly(t, rngB, cell, Options{NIS: 20000, NoClassifier: true})
 	// Both must agree within generous combined confidence bounds.
 	diff := math.Abs(withC.Estimate.P - without.Estimate.P)
 	bound := 3 * (withC.Estimate.CI95 + without.Estimate.CI95)
@@ -176,7 +200,7 @@ func TestNoClassifierAgreesWithBlockade(t *testing.T) {
 func TestConvergenceSeriesRecorded(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	rng := rand.New(rand.NewSource(49))
-	res := RDFOnly(rng, cell, Options{NIS: 20000, RecordEvery: 50})
+	res := mustRDFOnly(t, rng, cell, Options{NIS: 20000, RecordEvery: 50})
 	if len(res.Series) < 5 {
 		t.Fatalf("series too short: %d", len(res.Series))
 	}
@@ -237,7 +261,7 @@ func TestSharedCounterAccounting(t *testing.T) {
 	c := &montecarlo.Counter{}
 	rng := rand.New(rand.NewSource(50))
 	eng := NewEngine(cell, c, Options{NIS: 2000})
-	res := eng.Run(rng, nil)
+	res := mustRun(t, eng, rng, nil)
 	if c.Count() != res.Estimate.Sims {
 		t.Fatalf("counter %d vs result %d", c.Count(), res.Estimate.Sims)
 	}
@@ -247,7 +271,7 @@ func TestWriteFailureModeMatchesNaive(t *testing.T) {
 	// Naive write-failure MC at 0.5 V gives ≈8.7e-3 (523/60k).
 	cell := sram.NewCell(0.5)
 	rng := rand.New(rand.NewSource(51))
-	res := RDFOnly(rng, cell, Options{NIS: 40000, Mode: WriteFailure})
+	res := mustRDFOnly(t, rng, cell, Options{NIS: 40000, Mode: WriteFailure})
 	const ref = 8.7e-3
 	if res.Estimate.P < ref*0.7 || res.Estimate.P > ref*1.3 {
 		t.Fatalf("write Pfail = %v, reference %v", res.Estimate.P, ref)
@@ -258,8 +282,8 @@ func TestFailureModeOrdering(t *testing.T) {
 	// At this design point reads are the dominant static failure mode at
 	// nominal supply: hold failures must be rarer than read failures.
 	cell := sram.NewCell(0.5)
-	read := RDFOnly(rand.New(rand.NewSource(52)), cell, Options{NIS: 30000})
-	hold := RDFOnly(rand.New(rand.NewSource(53)), cell, Options{NIS: 30000, Mode: HoldFailure})
+	read := mustRDFOnly(t, rand.New(rand.NewSource(52)), cell, Options{NIS: 30000})
+	hold := mustRDFOnly(t, rand.New(rand.NewSource(53)), cell, Options{NIS: 30000, Mode: HoldFailure})
 	if hold.Estimate.P >= read.Estimate.P {
 		t.Fatalf("hold Pfail %v not rarer than read %v", hold.Estimate.P, read.Estimate.P)
 	}
@@ -279,8 +303,8 @@ func TestCovarianceIdentityMatchesDefault(t *testing.T) {
 	for i := 0; i < sram.NumTransistors; i++ {
 		cov.Set(i, i, sig[i]*sig[i])
 	}
-	a := RDFOnly(rand.New(rand.NewSource(60)), cell, Options{NIS: 40000})
-	b := RDFOnly(rand.New(rand.NewSource(60)), cell, Options{NIS: 40000, Covariance: cov})
+	a := mustRDFOnly(t, rand.New(rand.NewSource(60)), cell, Options{NIS: 40000})
+	b := mustRDFOnly(t, rand.New(rand.NewSource(60)), cell, Options{NIS: 40000, Covariance: cov})
 	diff := math.Abs(a.Estimate.P - b.Estimate.P)
 	if diff > 3*(a.Estimate.CI95+b.Estimate.CI95) {
 		t.Fatalf("diagonal covariance changed the estimate: %v vs %v", a.Estimate.P, b.Estimate.P)
@@ -303,8 +327,8 @@ func TestCovarianceCorrelationChangesPfail(t *testing.T) {
 			cov.Set(i, j, r*sig[i]*sig[j])
 		}
 	}
-	indep := RDFOnly(rand.New(rand.NewSource(61)), cell, Options{NIS: 40000})
-	corr := RDFOnly(rand.New(rand.NewSource(61)), cell, Options{NIS: 40000, Covariance: cov})
+	indep := mustRDFOnly(t, rand.New(rand.NewSource(61)), cell, Options{NIS: 40000})
+	corr := mustRDFOnly(t, rand.New(rand.NewSource(61)), cell, Options{NIS: 40000, Covariance: cov})
 	if corr.Estimate.P >= indep.Estimate.P {
 		t.Fatalf("correlated Pfail %v not below independent %v", corr.Estimate.P, indep.Estimate.P)
 	}
@@ -324,7 +348,7 @@ func TestCovarianceInvalidPanics(t *testing.T) {
 func TestClassifiedAccounting(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	rng := rand.New(rand.NewSource(70))
-	res := RDFOnly(rng, cell, Options{NIS: 20000})
+	res := mustRDFOnly(t, rng, cell, Options{NIS: 20000})
 	// The blockade must answer the overwhelming majority of labels.
 	if res.Classified < int64(10000) {
 		t.Fatalf("classified = %d, expected most of %d samples", res.Classified, 20000)
@@ -333,7 +357,7 @@ func TestClassifiedAccounting(t *testing.T) {
 		t.Fatal("Result.String missing classified count")
 	}
 	// NoClassifier: nothing classified.
-	res2 := RDFOnly(rand.New(rand.NewSource(71)), cell, Options{NIS: 3000, NoClassifier: true})
+	res2 := mustRDFOnly(t, rand.New(rand.NewSource(71)), cell, Options{NIS: 3000, NoClassifier: true})
 	if res2.Classified != 0 {
 		t.Fatalf("NoClassifier classified = %d", res2.Classified)
 	}
@@ -349,10 +373,10 @@ func TestRTNWithCovarianceWhitening(t *testing.T) {
 		cov.Set(i, i, sig[i]*sig[i])
 	}
 	cfg := rtn.TableIConfig(cell)
-	a := NewEngine(cell, nil, Options{NIS: 30000, M: 10}).
-		Run(rand.New(rand.NewSource(80)), rtn.NewSampler(cell, cfg, 0.3))
-	b := NewEngine(cell, nil, Options{NIS: 30000, M: 10, Covariance: cov}).
-		Run(rand.New(rand.NewSource(80)), rtn.NewSampler(cell, cfg, 0.3))
+	a := mustRun(t, NewEngine(cell, nil, Options{NIS: 30000, M: 10}),
+		rand.New(rand.NewSource(80)), rtn.NewSampler(cell, cfg, 0.3))
+	b := mustRun(t, NewEngine(cell, nil, Options{NIS: 30000, M: 10, Covariance: cov}),
+		rand.New(rand.NewSource(80)), rtn.NewSampler(cell, cfg, 0.3))
 	diff := math.Abs(a.Estimate.P - b.Estimate.P)
 	if diff > 3*(a.Estimate.CI95+b.Estimate.CI95) {
 		t.Fatalf("whitened RTN path diverged: %v vs %v", a.Estimate.P, b.Estimate.P)

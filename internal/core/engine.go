@@ -208,10 +208,10 @@ func (e *Engine) SetInitial(initial []linalg.Vector) {
 func (e *Engine) Initial() []linalg.Vector { return e.initial }
 
 // Run executes the full two-stage flow. sampler selects the RTN model
-// (nil = RDF-only, the Fig. 6 configuration).
-func (e *Engine) Run(rng *rand.Rand, sampler *rtn.Sampler) Result {
-	res, _ := e.RunCtx(context.Background(), rng, sampler)
-	return res
+// (nil = RDF-only, the Fig. 6 configuration). It is RunCtx without
+// cancellation; the error is RunCtx's, such as ErrNoFailureRegion.
+func (e *Engine) Run(rng *rand.Rand, sampler *rtn.Sampler) (Result, error) {
+	return e.RunCtx(context.Background(), rng, sampler)
 }
 
 // RunCtx is Run with cancellation. The context is checked between

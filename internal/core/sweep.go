@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ecripse/internal/rtn"
@@ -16,22 +17,24 @@ type SweepPoint struct {
 // DutySweep reproduces the workload of the paper's Fig. 8: the RTN-aware
 // failure probability at each duty ratio, with the boundary initialization
 // (and the trained classifier) shared across all bias conditions — the
-// optimization the paper highlights with Fig. 7(b).
-func DutySweep(rng *rand.Rand, cell *sram.Cell, cfg rtn.Config, alphas []float64, opts Options) []SweepPoint {
+// optimization the paper highlights with Fig. 7(b). It stops at the first
+// point whose run fails and returns the points before it with that error.
+func DutySweep(rng *rand.Rand, cell *sram.Cell, cfg rtn.Config, alphas []float64, opts Options) ([]SweepPoint, error) {
 	eng := NewEngine(cell, nil, opts)
 	eng.Init(rng)
 	out := make([]SweepPoint, 0, len(alphas))
 	for _, a := range alphas {
-		sampler := rtn.NewSampler(cell, cfg, a)
-		res := eng.Run(rng, sampler)
+		res, err := eng.Run(rng, rtn.NewSampler(cell, cfg, a))
+		if err != nil {
+			return out, fmt.Errorf("duty sweep at alpha %g: %w", a, err)
+		}
 		out = append(out, SweepPoint{Alpha: a, Result: res})
 	}
-	return out
+	return out, nil
 }
 
 // RDFOnly estimates the failure probability without RTN (the paper's
 // reference value 1.33e-4) using a fresh engine.
-func RDFOnly(rng *rand.Rand, cell *sram.Cell, opts Options) Result {
-	eng := NewEngine(cell, nil, opts)
-	return eng.Run(rng, nil)
+func RDFOnly(rng *rand.Rand, cell *sram.Cell, opts Options) (Result, error) {
+	return NewEngine(cell, nil, opts).Run(rng, nil)
 }

@@ -110,7 +110,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 func TestPFRoundDiagnostics(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	eng := NewEngine(cell, nil, smallOpts())
-	res := eng.Run(rand.New(rand.NewSource(11)), nil)
+	res := mustRun(t, eng, rand.New(rand.NewSource(11)), nil)
 
 	if len(res.PFRounds) != smallOpts().PFIters {
 		t.Fatalf("want %d rounds, got %d", smallOpts().PFIters, len(res.PFRounds))

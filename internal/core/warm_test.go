@@ -17,7 +17,7 @@ func TestWarmStateRoundTrip(t *testing.T) {
 	opts := Options{NIS: 1500, Directions: 128, WarmupTrain: 200}
 
 	cold := NewEngine(cell, nil, opts)
-	r1 := cold.Run(rand.New(rand.NewSource(3)), nil)
+	r1 := mustRun(t, cold, rand.New(rand.NewSource(3)), nil)
 	if r1.InitSims == 0 || r1.WarmupSims == 0 {
 		t.Fatalf("cold run should pay init (%d) and warm-up (%d) sims", r1.InitSims, r1.WarmupSims)
 	}
@@ -38,7 +38,7 @@ func TestWarmStateRoundTrip(t *testing.T) {
 		if !eng.Warmed() {
 			t.Fatal("engine not marked warmed")
 		}
-		return eng.Run(rand.New(rand.NewSource(3)), nil)
+		return mustRun(t, eng, rand.New(rand.NewSource(3)), nil)
 	}
 
 	warm := runWarm(ws)

@@ -60,7 +60,10 @@ func TestFig5DefectiveCellFails(t *testing.T) {
 }
 
 func TestFig6SmokeProposedBeatsConventional(t *testing.T) {
-	r := Fig6(1, Smoke)
+	r, err := Fig6(1, Smoke)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Proposed.Estimate.P <= 0 || r.Conventional.Estimate.P <= 0 {
 		t.Fatalf("estimates: %v %v", r.Proposed.Estimate.P, r.Conventional.Estimate.P)
 	}
@@ -76,7 +79,10 @@ func TestFig6SmokeProposedBeatsConventional(t *testing.T) {
 }
 
 func TestFig7SmokeSpeedsUpNaive(t *testing.T) {
-	r, eng := Fig7(1, Smoke, 0.3, nil)
+	r, eng, err := Fig7(1, Smoke, 0.3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if eng == nil {
 		t.Fatal("engine not returned")
 	}
@@ -89,7 +95,10 @@ func TestFig7SmokeSpeedsUpNaive(t *testing.T) {
 		t.Fatalf("naive %v vs proposed %v", np, pp)
 	}
 	// Reuse the engine for the second panel (Fig. 7(b)): fewer sims.
-	r2, _ := Fig7(2, Smoke, 0.5, eng)
+	r2, _, err := Fig7(2, Smoke, 0.5, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r2.Proposed.Estimate.Sims >= r.Proposed.Estimate.Sims {
 		t.Fatalf("shared init did not save sims: %d vs %d",
 			r2.Proposed.Estimate.Sims, r.Proposed.Estimate.Sims)
@@ -97,7 +106,10 @@ func TestFig7SmokeSpeedsUpNaive(t *testing.T) {
 }
 
 func TestFig8SmokeShape(t *testing.T) {
-	r := Fig8(1, Smoke)
+	r, err := Fig8(1, Smoke)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Points) != 3 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -115,7 +127,10 @@ func TestFig8SmokeShape(t *testing.T) {
 }
 
 func TestMethodsComparison(t *testing.T) {
-	r := Methods(1, Smoke, 0.5)
+	r, err := Methods(1, Smoke, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -56,7 +56,7 @@ type Fig6Result struct {
 
 // Fig6 runs the comparison. Proposed IS samples are mostly classified
 // (nearly free); the conventional flow pays one simulation per sample.
-func Fig6(seed int64, scale Scale) Fig6Result {
+func Fig6(seed int64, scale Scale) (Fig6Result, error) {
 	var nisProposed, nisConv int
 	switch scale {
 	case Smoke:
@@ -70,7 +70,10 @@ func Fig6(seed int64, scale Scale) Fig6Result {
 
 	rngP := rand.New(rand.NewSource(seed))
 	engP := core.NewEngine(cell, nil, core.Options{NIS: nisProposed, RecordEvery: nisProposed / 200})
-	resP := engP.Run(rngP, nil)
+	resP, err := engP.Run(rngP, nil)
+	if err != nil {
+		return Fig6Result{}, fmt.Errorf("fig6 proposed run: %w", err)
+	}
 	proposed := MethodSeries{Name: "proposed (ECRIPSE)", Series: resP.Series, Estimate: resP.Estimate}
 
 	rngC := rand.New(rand.NewSource(seed + 1))
@@ -89,7 +92,7 @@ func Fig6(seed int64, scale Scale) Fig6Result {
 			out.MatchedRelErr = target
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Write renders both series and the headline ratio.
@@ -119,7 +122,7 @@ type Fig7Result struct {
 // Fig7 runs one panel (the paper shows alpha = 0.3 and 0.5). The engine may
 // be reused across panels to reproduce the Fig. 7(b) shared-initialization
 // observation; pass nil to create a fresh one.
-func Fig7(seed int64, scale Scale, alpha float64, eng *core.Engine) (Fig7Result, *core.Engine) {
+func Fig7(seed int64, scale Scale, alpha float64, eng *core.Engine) (Fig7Result, *core.Engine, error) {
 	var nNaive, nisProposed, m int
 	switch scale {
 	case Smoke:
@@ -164,14 +167,17 @@ func Fig7(seed int64, scale Scale, alpha float64, eng *core.Engine) (Fig7Result,
 		eng = core.NewEngine(cell, nil, core.Options{NIS: nisProposed, M: m, RecordEvery: nisProposed / 200})
 	}
 	rngP := rand.New(rand.NewSource(seed + 1))
-	resP := eng.Run(rngP, sampler)
+	resP, err := eng.Run(rngP, sampler)
+	if err != nil {
+		return Fig7Result{}, eng, fmt.Errorf("fig7 proposed run at alpha %g: %w", alpha, err)
+	}
 	proposed := MethodSeries{Name: fmt.Sprintf("proposed (alpha=%.1f)", alpha), Series: resP.Series, Estimate: resP.Estimate}
 
 	out := Fig7Result{Alpha: alpha, Naive: naive, Proposed: proposed, ProposedDiag: resP.PFRounds}
 	if pSims, ok := resP.Series.SimsToRelErrStable(fin.RelErr); ok && pSims > 0 {
 		out.Speedup = float64(cn.Count()) / float64(pSims)
 	}
-	return out, eng
+	return out, eng, nil
 }
 
 // Write renders both series and the speedup.
@@ -195,7 +201,7 @@ type Fig8Result struct {
 }
 
 // Fig8 sweeps the duty ratio at nominal supply.
-func Fig8(seed int64, scale Scale) Fig8Result {
+func Fig8(seed int64, scale Scale) (Fig8Result, error) {
 	var alphas []float64
 	var nis, m int
 	switch scale {
@@ -214,8 +220,14 @@ func Fig8(seed int64, scale Scale) Fig8Result {
 	rng := rand.New(rand.NewSource(seed))
 	opts := core.Options{NIS: nis, M: m}
 
-	rdf := core.RDFOnly(rand.New(rand.NewSource(seed+1)), cell, opts)
-	pts := core.DutySweep(rng, cell, cfg, alphas, opts)
+	rdf, err := core.RDFOnly(rand.New(rand.NewSource(seed+1)), cell, opts)
+	if err != nil {
+		return Fig8Result{}, fmt.Errorf("fig8 RDF-only reference: %w", err)
+	}
+	pts, err := core.DutySweep(rng, cell, cfg, alphas, opts)
+	if err != nil {
+		return Fig8Result{}, fmt.Errorf("fig8: %w", err)
+	}
 
 	out := Fig8Result{Points: pts, RDFOnly: rdf, MinAlpha: math.NaN()}
 	worst, best := 0.0, math.Inf(1)
@@ -231,7 +243,7 @@ func Fig8(seed int64, scale Scale) Fig8Result {
 	if rdf.Estimate.P > 0 {
 		out.WorstOverRDF = worst / rdf.Estimate.P
 	}
-	return out
+	return out, nil
 }
 
 // Write renders the sweep as the paper's Fig. 8 data plus headline ratios.

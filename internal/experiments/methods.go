@@ -32,7 +32,7 @@ type MethodsResult struct {
 // Methods runs the comparison. It is the "survey table" that situates
 // ECRIPSE among naive MC, quasi-MC, sequential importance sampling [8],
 // statistical blockade [12] and subset simulation.
-func Methods(seed int64, scale Scale, vdd float64) MethodsResult {
+func Methods(seed int64, scale Scale, vdd float64) (MethodsResult, error) {
 	var nNaive, nisSIS, nBlockade, nSubset, nisEcripse int
 	switch scale {
 	case Smoke:
@@ -120,10 +120,13 @@ func Methods(seed int64, scale Scale, vdd float64) MethodsResult {
 
 	// ECRIPSE.
 	{
-		res := core.RDFOnly(rand.New(rand.NewSource(seed+4)), cell, core.Options{NIS: nisEcripse})
+		res, err := core.RDFOnly(rand.New(rand.NewSource(seed+4)), cell, core.Options{NIS: nisEcripse})
+		if err != nil {
+			return out, fmt.Errorf("methods ECRIPSE run: %w", err)
+		}
 		out.Rows = append(out.Rows, MethodRow{"ECRIPSE (proposed)", res.Estimate})
 	}
-	return out
+	return out, nil
 }
 
 // Write renders the comparison table.

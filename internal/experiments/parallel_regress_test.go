@@ -40,7 +40,8 @@ func parallelCases() []parallelCase {
 
 // runParallelCase executes one engine flow at the given parallelism from a
 // fresh seed-1 state.
-func runParallelCase(c parallelCase, parallelism int) core.Result {
+func runParallelCase(t *testing.T, c parallelCase, parallelism int) core.Result {
+	t.Helper()
 	cell := sram.NewCell(0.5)
 	rng := rand.New(rand.NewSource(1))
 	opts := c.opts
@@ -50,7 +51,11 @@ func runParallelCase(c parallelCase, parallelism int) core.Result {
 	if c.rtn {
 		sampler = rtn.NewSampler(cell, rtn.TableIConfig(cell), 0.5)
 	}
-	return eng.Run(rng, sampler)
+	res, err := eng.Run(rng, sampler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestRegressParallelismDeterminism is the determinism half of the
@@ -65,7 +70,7 @@ func TestRegressParallelismDeterminism(t *testing.T) {
 	for _, c := range parallelCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			want := runParallelCase(c, 1)
+			want := runParallelCase(t, c, 1)
 			if want.Estimate.P <= 0 {
 				t.Fatalf("baseline estimate collapsed: %v", want.Estimate)
 			}
@@ -73,7 +78,7 @@ func TestRegressParallelismDeterminism(t *testing.T) {
 				t.Fatal("baseline recorded no convergence series")
 			}
 			for _, parallelism := range []int{2, 8} {
-				got := runParallelCase(c, parallelism)
+				got := runParallelCase(t, c, parallelism)
 				if got.Estimate != want.Estimate {
 					t.Errorf("parallelism=%d estimate differs:\n got  %+v\n want %+v",
 						parallelism, got.Estimate, want.Estimate)

@@ -99,7 +99,10 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// The service result must equal the same-seed library call exactly.
 	cell := ecripse.NewCell(ecripse.VddNominal)
-	want := ecripse.New(cell, ecripse.Options{NIS: nis}).FailureProbability(seed)
+	want, err := ecripse.New(cell, ecripse.Options{NIS: nis}).FailureProbability(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Estimate.Stats() != want.Estimate {
 		t.Fatalf("service estimate %+v != library estimate %+v", got.Estimate.Stats(), want.Estimate)
 	}
