@@ -23,7 +23,7 @@ type Result struct {
 
 	// Solver effort for this run.
 	RootSolves  int64 // half-cell root solves spent
-	SolverIters int64 // residual evaluations inside the root-search loops
+	SolverIters int64 // residual evaluations those solves spent
 
 	// Lane-utilization accounting for the batched indicator (0 in write
 	// mode, whose margin is the scalar solve): kernel slots issued by the

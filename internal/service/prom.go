@@ -91,7 +91,7 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	p.Counter("ecripsed_solver_root_solves_total",
 		"Half-cell root solves, process-wide.", float64(m.SolverRootSolves))
 	p.Counter("ecripsed_solver_iterations_total",
-		"Illinois iterations spent in root solves, process-wide.", float64(m.SolverIters))
+		"Residual evaluations spent in root solves, process-wide.", float64(m.SolverIters))
 	p.Counter("ecripsed_batch_lane_slots_total",
 		"Lockstep kernel slots issued by the batched indicator, process-wide.", float64(m.LaneSlots))
 	p.Counter("ecripsed_batch_lanes_occupied_total",

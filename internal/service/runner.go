@@ -147,7 +147,7 @@ type CostSplit struct {
 	Total      int64 `json:"total"`
 
 	// Solver effort underneath the indicator calls (root solves and
-	// Illinois iterations).
+	// their residual evaluations).
 	RootSolves  int64 `json:"root_solves,omitempty"`
 	SolverIters int64 `json:"solver_iters,omitempty"`
 

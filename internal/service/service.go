@@ -125,7 +125,7 @@ type telemetry struct {
 	jobDuration *obsv.Histogram // run wall time, seconds
 	queueWait   *obsv.Histogram // queued → running, seconds
 	indicator   *obsv.Histogram // one true-indicator evaluation, seconds
-	rootIters   *obsv.Histogram // Illinois iterations per root solve
+	rootIters   *obsv.Histogram // residual evaluations per root solve
 
 	healthMu         sync.Mutex
 	healthViolations map[string]int64
@@ -164,7 +164,7 @@ func newTelemetry() *telemetry {
 			"Wall time of one true-indicator evaluation (one transistor-level simulation).",
 			obsv.ExpBuckets(1e-5, 2, 16)),
 		rootIters: obsv.NewHistogram("ecripsed_root_solve_iterations",
-			"Illinois iterations per half-cell root solve (per-curve average).",
+			"Residual evaluations per half-cell root solve (per-curve average).",
 			obsv.LinearBuckets(4, 4, 12)),
 		healthViolations: make(map[string]int64),
 	}
@@ -705,7 +705,7 @@ type Metrics struct {
 	RemoteCacheHits int64 `json:"remote_cache_hits,omitempty"`
 	SimsTotal       int64 `json:"sims_total"`
 	// Solver effort underneath the indicator calls, process-wide: how many
-	// half-cell root solves ran and how many Illinois iterations they took.
+	// half-cell root solves ran and how many residual evaluations they took.
 	SolverRootSolves int64 `json:"solver_root_solves"`
 	SolverIters      int64 `json:"solver_iters"`
 	// Lane occupancy of the batched indicator kernel, process-wide: slots

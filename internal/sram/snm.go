@@ -9,7 +9,7 @@ import (
 // SNMOptions controls the butterfly sampling used for noise margins.
 type SNMOptions struct {
 	GridN      int  // VTC sample points per curve (default 64)
-	BisectIter int  // half-cell bisection iterations (default 40)
+	BisectIter int  // residual evaluations per half-cell root solve, at most (default 40)
 	Hold       bool // compute the hold margin (WL = 0) instead of read
 
 	// Lanes is the lockstep width of NoiseMarginBatch: batches larger than
@@ -24,7 +24,7 @@ type SNMOptions struct {
 }
 
 // DefaultBatchLanes is the default lockstep width of NoiseMarginBatch: wide
-// enough to keep late Illinois iterations busy (lanes converge at different
+// enough to keep late secant steps busy (lanes converge at different
 // steps), narrow enough that the per-lane state stays L1-resident. See
 // EXPERIMENTS.md for the width sweep behind the choice.
 const DefaultBatchLanes = 64

@@ -7,8 +7,8 @@ import (
 // SolveTelemetry accumulates root-solver effort counters. The estimators'
 // cost model counts indicator calls; these counters expose what one
 // indicator call costs underneath — how many half-cell root solves ran and
-// how many Illinois iterations (one KCL residual evaluation, i.e. three
-// Ids calls, each) they needed. Counters are plain sums of integers, so
+// how many KCL residual evaluations (three Ids calls each) they needed,
+// every evaluation billed. Counters are plain sums of integers, so
 // they are deterministic at any parallelism level.
 //
 // A *SolveTelemetry can be attached to VTCOptions/SNMOptions; the sweep
@@ -92,8 +92,8 @@ func TotalLaneTelemetry() (slots, occupied int64) {
 	return totalTelemetry.LaneSlots.Load(), totalTelemetry.LaneOccupied.Load()
 }
 
-// SolveObserver receives per-curve solver tallies: v is the mean Illinois
-// iteration count per root solve over the curve, n the number of solves. The
+// SolveObserver receives per-curve solver tallies: v is the mean number of
+// residual evaluations per root solve over the curve, n the number of solves. The
 // service registers its root-solve-iterations histogram here; ObserveN on an
 // atomic-bucket histogram satisfies the signature directly.
 type SolveObserver interface {
