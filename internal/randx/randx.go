@@ -69,20 +69,45 @@ func NormalLogPDF(x, mu, sigma linalg.Vector) float64 {
 //
 // For small lambda it uses Knuth's multiplication method; for large lambda it
 // uses the PTRS transformed-rejection sampler of Hörmann (1993), which is
-// exact and O(1). lambda <= 0 always returns 0.
+// exact and O(1). lambda <= 0 always returns 0. Callers that draw many times
+// from one mean should build a PoissonDist once instead: it draws the same
+// counts without recomputing Knuth's threshold on every call.
 func Poisson(rng *rand.Rand, lambda float64) int {
+	return NewPoissonDist(lambda).Draw(rng)
+}
+
+// PoissonDist is a Poisson distribution with its per-draw constant, Knuth's
+// threshold exp(−λ), computed once.
+type PoissonDist struct {
+	lambda float64
+	knuthL float64 // exp(−λ) when 0 < λ < 30, the Knuth range
+}
+
+// NewPoissonDist prepares draws with mean lambda.
+func NewPoissonDist(lambda float64) PoissonDist {
+	d := PoissonDist{lambda: lambda}
+	if lambda > 0 && lambda < 30 {
+		d.knuthL = math.Exp(-lambda)
+	}
+	return d
+}
+
+// Draw returns one count. From the same rng state it returns exactly what
+// Poisson(rng, λ) returns and consumes the same uniforms.
+func (d PoissonDist) Draw(rng *rand.Rand) int {
 	switch {
-	case lambda <= 0:
+	case d.lambda <= 0:
 		return 0
-	case lambda < 30:
-		return poissonKnuth(rng, lambda)
+	case d.lambda < 30:
+		return poissonKnuth(rng, d.knuthL)
 	default:
-		return poissonPTRS(rng, lambda)
+		return poissonPTRS(rng, d.lambda)
 	}
 }
 
-func poissonKnuth(rng *rand.Rand, lambda float64) int {
-	l := math.Exp(-lambda)
+// poissonKnuth multiplies uniforms until the product falls to the
+// threshold l = exp(−λ).
+func poissonKnuth(rng *rand.Rand, l float64) int {
 	k := 0
 	p := 1.0
 	for {

@@ -111,6 +111,54 @@ func TestPoissonSmallLambda(t *testing.T)  { testPoissonMoments(t, 1.92, 200000)
 func TestPoissonMediumLambda(t *testing.T) { testPoissonMoments(t, 12.0, 100000) }
 func TestPoissonLargeLambda(t *testing.T)  { testPoissonMoments(t, 120.0, 100000) }
 
+// poissonUncached is Poisson as it was before PoissonDist: Knuth's threshold
+// exp(−λ) computed inside every draw. It is the reference the cached draw
+// is pinned against.
+func poissonUncached(rng *rand.Rand, lambda float64) int {
+	switch {
+	case lambda <= 0:
+		return 0
+	case lambda < 30:
+		l := math.Exp(-lambda)
+		k := 0
+		p := 1.0
+		for {
+			p *= rng.Float64()
+			if p <= l {
+				return k
+			}
+			k++
+		}
+	default:
+		return poissonPTRS(rng, lambda)
+	}
+}
+
+// TestPoissonDistMatchesUncached: a PoissonDist built once draws the same
+// counts as the per-call threshold from the same rng state, and leaves the
+// rng in the same state, on both sides of the Knuth/PTRS switch.
+func TestPoissonDistMatchesUncached(t *testing.T) {
+	for _, lambda := range []float64{0, 1e-3, 0.5, 5, 29.9, 30, 80} {
+		d := NewPoissonDist(lambda)
+		cached := rand.New(rand.NewSource(17))
+		plain := rand.New(rand.NewSource(17))
+		for i := 0; i < 5000; i++ {
+			got, want := d.Draw(cached), poissonUncached(plain, lambda)
+			if got != want {
+				t.Fatalf("lambda=%v draw %d: cached %d, uncached %d", lambda, i, got, want)
+			}
+			if i%7 == 0 {
+				if got := Poisson(cached, lambda); got != poissonUncached(plain, lambda) {
+					t.Fatalf("lambda=%v draw %d: Poisson disagrees with the uncached draw", lambda, i)
+				}
+			}
+		}
+		if cached.Int63() != plain.Int63() {
+			t.Fatalf("lambda=%v: the cached draw consumed a different number of uniforms", lambda)
+		}
+	}
+}
+
 func TestPoissonEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	if Poisson(rng, 0) != 0 {

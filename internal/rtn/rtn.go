@@ -128,9 +128,10 @@ func (c Config) DeviceDuty(tr int, alpha float64) float64 {
 type Sampler struct {
 	cfg    Config
 	alpha  float64
-	mean   [sram.NumTransistors]float64 // Poisson mean: occupancy·λ·L·W
-	amp    [sram.NumTransistors]float64 // ΔVth per trapped charge [V]
-	traps  [sram.NumTransistors]float64 // mean total defect count λ·L·W
+	mean   [sram.NumTransistors]float64           // Poisson mean: occupancy·λ·L·W
+	count  [sram.NumTransistors]randx.PoissonDist // the Neff draw, set up once per mean
+	amp    [sram.NumTransistors]float64           // ΔVth per trapped charge [V]
+	traps  [sram.NumTransistors]float64           // mean total defect count λ·L·W
 	occupt [sram.NumTransistors]float64
 }
 
@@ -147,6 +148,7 @@ func NewSampler(cell *sram.Cell, cfg Config, alpha float64) *Sampler {
 		s.traps[i] = nTraps
 		s.occupt[i] = occ
 		s.mean[i] = occ * nTraps
+		s.count[i] = randx.NewPoissonDist(s.mean[i])
 		s.amp[i] = cfg.AmpScale * ElementaryCharge / (d.Cox() * d.L * d.W)
 	}
 	return s
@@ -170,7 +172,7 @@ func (s *Sampler) TrapAmplitude(tr int) float64 { return s.amp[tr] }
 func (s *Sampler) Sample(rng *rand.Rand) sram.Shifts {
 	var sh sram.Shifts
 	for i := range sh {
-		n := randx.Poisson(rng, s.mean[i])
+		n := s.count[i].Draw(rng)
 		if !s.cfg.ExponentialAmps {
 			sh[i] = s.amp[i] * float64(n)
 			continue

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ecripse/internal/randx"
 	"ecripse/internal/sram"
 )
 
@@ -139,6 +140,30 @@ func TestSampleMomentsMatchAnalytic(t *testing.T) {
 		}
 		if math.Abs(sd-std[j]) > 1e-3 {
 			t.Fatalf("device %d std %v want %v", j, sd, std[j])
+		}
+	}
+}
+
+// TestSampleMatchesPerDrawPoisson: Sample's counts, drawn through the
+// sampler's prepared PoissonDist per device, equal a per-draw randx.Poisson
+// of the same means from the same rng state.
+func TestSampleMatchesPerDrawPoisson(t *testing.T) {
+	cell := sram.NewCell(0.5)
+	for _, cfg := range []Config{TableIConfig(cell), {Lambda: 4e18, TauOnE: 1.2, TauOffE: 0.1, TauOnC: 0.01, TauOffC: 0.12, AmpScale: 1, IncludeAccess: true, AccessDuty: 0.5}} {
+		for _, alpha := range []float64{0, 0.3, 1} {
+			s := NewSampler(cell, cfg, alpha)
+			got := rand.New(rand.NewSource(23))
+			want := rand.New(rand.NewSource(23))
+			for k := 0; k < 2000; k++ {
+				sh := s.Sample(got)
+				for i := range sh {
+					n := randx.Poisson(want, s.mean[i])
+					if sh[i] != s.amp[i]*float64(n) {
+						t.Fatalf("alpha=%v draw %d device %d: shift %g, per-draw Poisson gives %g",
+							alpha, k, i, sh[i], s.amp[i]*float64(n))
+					}
+				}
+			}
 		}
 	}
 }
