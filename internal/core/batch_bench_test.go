@@ -53,3 +53,30 @@ func BenchmarkSimulateBatch(b *testing.B) {
 		})
 	}
 }
+
+// logPDFSink keeps BenchmarkProposalLogPDF's calls from being optimized away.
+var logPDFSink float64
+
+// BenchmarkProposalLogPDF times GMM.LogPDF on an engine-built mixture: the
+// stage-2 proposal of the rdf-rare configuration (Vdd 0.7, RDF only, seed
+// 3), whose components, weights and spread set how often the fold meets a
+// new running maximum and how many terms the −40 cutoff drops. The queries
+// are draws from the mixture itself, as stage 2's are (up to the defensive
+// share). ns/op is per call.
+func BenchmarkProposalLogPDF(b *testing.B) {
+	res, err := RDFOnly(rand.New(rand.NewSource(3)), sram.NewCell(0.7), Options{NIS: stage2Batch})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := res.Proposal
+	rng := rand.New(rand.NewSource(4))
+	xs := make([]linalg.Vector, 1024)
+	for i := range xs {
+		xs[i] = g.Sample(rng)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		logPDFSink = g.LogPDF(xs[i%len(xs)])
+	}
+	b.ReportMetric(float64(len(g.Means)), "components")
+}

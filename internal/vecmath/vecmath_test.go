@@ -81,6 +81,42 @@ func TestSoftplusTails(t *testing.T) {
 	}
 }
 
+// TestSoftplusRescueAtEveryLane places one out-of-envelope value — beyond
+// either bound, ±Inf or NaN — at every lane of every call length from 1 to
+// 9 among in-envelope neighbours: the kernel must report it, whichever quad
+// and lane it sits in, so that the rescue pass overwrites it, and must
+// report nothing for the same call without it.
+func TestSoftplusRescueAtEveryLane(t *testing.T) {
+	if Enabled() {
+		clean := []float64{-707.9, 708.9, 0, -35, 35, 1, -1, 20}
+		if spAVX2(&make([]float64, 8)[0], &clean[0], 8) {
+			t.Fatal("kernel reported a rescue for in-envelope lanes")
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	outside := []float64{
+		-710, -1000, 709.5, 1000, math.Nextafter(minVecArg, -709), minVecArg, maxVecArg,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64,
+	}
+	for n := 1; n <= 9; n++ {
+		for pos := 0; pos < n; pos++ {
+			for _, v := range outside {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = 80*rng.Float64() - 40
+				}
+				xs[pos] = v
+				checkLanes(t, xs)
+				if q := n &^ 3; Enabled() && q > 0 {
+					if got := spAVX2(&make([]float64, q)[0], &xs[0], q); got != (pos < q) {
+						t.Fatalf("n=%d: %v at lane %d: kernel reported rescue=%v", n, v, pos, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSoftplusForcedScalar verifies the pure-Go path against the vector
 // one directly (meaningful only where the kernel is enabled).
 func TestSoftplusForcedScalar(t *testing.T) {
