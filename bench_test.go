@@ -284,9 +284,9 @@ func BenchmarkClassifierPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkPolyScore is the compiled blockade query: the same degree-4
-// transform and linear score as ClassifierPredict, through the compiled
-// incremental-product kernel (bit-identical scores).
+// BenchmarkPolyScore is the per-draw blockade query through a Scorer: the
+// same degree-4 transform and linear score as ClassifierPredict, through
+// the incremental-product program (bit-identical scores).
 func BenchmarkPolyScore(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pf := svm.NewPolyFeatures(6, 4, 0)
@@ -298,7 +298,7 @@ func BenchmarkPolyScore(b *testing.B) {
 		ys[i] = xs[i].Norm() > 4
 	}
 	c.Train(rng, xs, ys, 5)
-	s := c.Compile()
+	s := c.NewScorer()
 	x := randx.NormalVector(rng, 6).Scale(4)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -307,8 +307,8 @@ func BenchmarkPolyScore(b *testing.B) {
 	}
 }
 
-// BenchmarkPolyScoreBatch is the SoA batch-scoring path used at the
-// estimators' 256-sample batch barriers; ns/op is per sample.
+// BenchmarkPolyScoreBatch is the batch-scoring kernel stage 2 and the
+// blockade baseline score through; ns/op is per sample.
 func BenchmarkPolyScoreBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pf := svm.NewPolyFeatures(6, 4, 0)
@@ -320,7 +320,7 @@ func BenchmarkPolyScoreBatch(b *testing.B) {
 		ys[i] = xs[i].Norm() > 4
 	}
 	c.Train(rng, xs, ys, 5)
-	s := c.Compile()
+	s := c.NewScorer()
 	const batch = 256
 	probe := make([]linalg.Vector, batch)
 	for i := range probe {

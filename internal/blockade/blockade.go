@@ -126,9 +126,9 @@ func EstimateCtx(ctx context.Context, rng *rand.Rand, dim int, fails func(linalg
 		}
 		run.Add(v)
 	}
-	var scorer *svm.CompiledScorer
+	var scorer *svm.Scorer
 	if trained {
-		scorer = cls.Compile()
+		scorer = cls.NewScorer()
 	}
 	return stream(ctx, rng, dim, fails, c, n, o, scorer, &run, trainSims, trainStart)
 }
@@ -149,21 +149,22 @@ func EstimateWarmCtx(ctx context.Context, rng *rand.Rand, dim int, fails func(li
 	if o.RecordEvery <= 0 {
 		o.RecordEvery = n/50 + 1
 	}
-	var scorer *svm.CompiledScorer
+	var scorer *svm.Scorer
 	if cls != nil && cls.Trained() {
-		scorer = cls.Compile()
+		scorer = cls.NewScorer()
 	}
 	var run stats.Running
 	return stream(ctx, rng, dim, fails, c, n, o, scorer, &run, 0, c.Count())
 }
 
 // stream is the shared filtered-stream body: n nominal draws scored in
-// compiled batches, with only predicted-fail and in-band samples simulated.
+// batches, with only predicted-fail and in-band samples simulated.
 // run may already carry the training batch's exact labels; startCount anchors
 // the total-sims accounting.
-func stream(ctx context.Context, rng *rand.Rand, dim int, fails func(linalg.Vector) bool, c *montecarlo.Counter, n int, o Options, scorer *svm.CompiledScorer, run *stats.Running, trainSims, startCount int64) (Result, error) {
+func stream(ctx context.Context, rng *rand.Rand, dim int, fails func(linalg.Vector) bool, c *montecarlo.Counter, n int, o Options, scorer *svm.Scorer, run *stats.Running, trainSims, startCount int64) (Result, error) {
 	// The stream is processed in fixed-size batches so the classifier scores
-	// go through the compiled SoA kernel. Only the draws consume the rng, and
+	// go through the batch kernel (nothing trains the classifier while it
+	// streams, so the scorer's view of it is frozen). Only the draws consume the rng, and
 	// the batch draw replicates randx.NormalVector's per-component order, so
 	// the sample stream — and with it every simulate/block decision — is
 	// bit-identical to the per-sample loop. The filter condition folds to a

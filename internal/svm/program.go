@@ -22,8 +22,8 @@ import (
 // last exponent first), so one forward pass suffices.
 //
 // A program is weight-independent — pure basis structure — so it is built
-// once in NewPolyFeatures and shared by every classifier, scorer and
-// compiled scorer over the basis, no matter how the weights evolve.
+// once in NewPolyFeatures and shared by every classifier and scorer over
+// the basis, no matter how the weights evolve.
 type program struct {
 	parent []int32 // feature index this monomial extends (entry 0 unused)
 	pow    []int32 // flat power-table index (dim*stride + exponent) of the extension factor
@@ -95,7 +95,7 @@ func (p *program) features(pows, f []float64) {
 // score evaluates the program and accumulates w·f in one pass. The
 // accumulation visits features in index order, so the result is
 // bit-identical to linalg.Vector.Dot over the separately-materialized
-// feature vector.
+// feature vector. scoreAVX2 repeats these operations 16 draws at a time.
 func (p *program) score(w linalg.Vector, pows, f []float64) float64 {
 	f[0] = 1
 	s := 0.0
@@ -106,101 +106,4 @@ func (p *program) score(w linalg.Vector, pows, f []float64) float64 {
 		s += w[i] * v
 	}
 	return s
-}
-
-// CompiledScorer is a frozen-weight scoring kernel: a snapshot of the
-// classifier's weights bound to the shared basis program, with its own
-// scratch. Scores are bit-identical to Classifier.Score at the snapshot
-// state. Not safe for concurrent use (per-instance scratch); compile one
-// per goroutine, or one per batch under a frozen-weights barrier.
-type CompiledScorer struct {
-	pf   *PolyFeatures
-	w    linalg.Vector
-	pows []float64
-	f    []float64
-
-	// SoA batch scratch (scoreBlock samples wide), built on first ScoreBatch.
-	powsB []float64
-	fB    []float64
-}
-
-// Compile snapshots the classifier's current weights into a scoring kernel.
-// Later Train/Update calls do not affect the compiled scorer.
-func (c *Classifier) Compile() *CompiledScorer {
-	pf := c.Features
-	stride := pf.Degree + 1
-	return &CompiledScorer{
-		pf:   pf,
-		w:    append(linalg.Vector(nil), c.w...),
-		pows: make([]float64, pf.Dim*stride),
-		f:    make([]float64, pf.NumFeatures()),
-	}
-}
-
-// Score returns the signed decision value w·f(x), bit-identical to
-// Classifier.Score at the compiled snapshot.
-func (s *CompiledScorer) Score(x linalg.Vector) float64 {
-	if len(x) != s.pf.Dim {
-		panic(fmt.Sprintf("svm: input dim %d, want %d", len(x), s.pf.Dim))
-	}
-	s.pf.fillPows(x, s.pows)
-	return s.pf.prog.score(s.w, s.pows, s.f)
-}
-
-// scoreBlock is the SoA block width of ScoreBatch: wide enough for the
-// compiler to vectorize the per-feature inner loop, narrow enough that the
-// feature wavefront (NumFeatures × scoreBlock floats) stays cache-resident.
-const scoreBlock = 16
-
-// ScoreBatch scores a batch of inputs into out (len(out) >= len(xs)),
-// each bit-identical to Score. The batch is processed in SoA blocks:
-// powers and features are laid out sample-minor, so the per-feature
-// dependency chain (parent lookup) runs once per feature while the
-// per-sample multiplies within a block are independent and vectorize.
-// This is the scoring path for the estimators' fixed-size batch barriers.
-func (s *CompiledScorer) ScoreBatch(xs []linalg.Vector, out []float64) {
-	pf := s.pf
-	stride := pf.Degree + 1
-	nf := pf.NumFeatures()
-	if s.fB == nil {
-		s.powsB = make([]float64, pf.Dim*stride*scoreBlock)
-		s.fB = make([]float64, nf*scoreBlock)
-	}
-	for base := 0; base < len(xs); base += scoreBlock {
-		nb := len(xs) - base
-		if nb > scoreBlock {
-			nb = scoreBlock
-		}
-		block := xs[base : base+nb]
-		// Power tables, sample-minor: powsB[k*scoreBlock+b] = pows_b[k].
-		for b, x := range block {
-			if len(x) != pf.Dim {
-				panic(fmt.Sprintf("svm: input dim %d, want %d", len(x), pf.Dim))
-			}
-			for d := 0; d < pf.Dim; d++ {
-				s.powsB[d*stride*scoreBlock+b] = 1
-				xv := x[d] / pf.Scale
-				for k := 1; k <= pf.Degree; k++ {
-					s.powsB[(d*stride+k)*scoreBlock+b] = s.powsB[(d*stride+k-1)*scoreBlock+b] * xv
-				}
-			}
-			out[base+b] = s.w[0] // w[0]·1, the constant feature
-		}
-		prog := &pf.prog
-		fB := s.fB
-		for b := 0; b < nb; b++ {
-			fB[b] = 1
-		}
-		for i := 1; i < nf; i++ {
-			pRow := fB[int(prog.parent[i])*scoreBlock:]
-			powRow := s.powsB[int(prog.pow[i])*scoreBlock:]
-			fRow := fB[i*scoreBlock:]
-			wi := s.w[i]
-			for b := 0; b < nb; b++ {
-				v := pRow[b] * powRow[b]
-				fRow[b] = v
-				out[base+b] += wi * v
-			}
-		}
-	}
 }

@@ -1,10 +1,12 @@
 package svm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"ecripse/internal/linalg"
+	"ecripse/internal/vecmath"
 )
 
 // naiveTransform is the original per-tuple walk, kept as the reference the
@@ -58,10 +60,12 @@ func TestProgramMatchesNaiveTransform(t *testing.T) {
 	}
 }
 
-// TestCompiledScorerMatchesClassifier pins Score/ScoreBatch/Scorer against
-// Classifier.Score: all four paths must produce the identical float64, and
-// the compiled snapshot must stay frozen across later updates.
-func TestCompiledScorerMatchesClassifier(t *testing.T) {
+// TestScoreBatchMatchesClassifier pins Scorer.Score and Scorer.ScoreBatch
+// against Classifier.Score on a trained classifier: all three paths must
+// produce the identical float64, at every batch length across the kernel's
+// 16-draw blocks, with the vector path on and off; and the scorer, a view,
+// must follow the classifier's later updates.
+func TestScoreBatchMatchesClassifier(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pf := NewPolyFeatures(6, 4, 0)
 	c := NewClassifier(pf, 1e-4)
@@ -78,7 +82,6 @@ func TestCompiledScorerMatchesClassifier(t *testing.T) {
 	}
 	c.Train(rng, xs, ys, 5)
 
-	compiled := c.Compile()
 	scorer := c.NewScorer()
 	probe := make([]linalg.Vector, 100)
 	for i := range probe {
@@ -88,30 +91,107 @@ func TestCompiledScorerMatchesClassifier(t *testing.T) {
 		}
 		probe[i] = x
 	}
-	batch := make([]float64, len(probe))
-	compiled.ScoreBatch(probe, batch)
-	for i, x := range probe {
-		want := c.Score(x)
-		if got := compiled.Score(x); got != want {
-			t.Fatalf("compiled.Score(%d) = %g, classifier %g", i, got, want)
-		}
-		if got := scorer.Score(x); got != want {
-			t.Fatalf("scorer.Score(%d) = %g, classifier %g", i, got, want)
-		}
-		if batch[i] != want {
-			t.Fatalf("ScoreBatch[%d] = %g, classifier %g", i, batch[i], want)
+	for _, vec := range vectorModes() {
+		useAVX2 = vec
+		for _, n := range []int{0, 1, 15, 16, 17, 33, 100} {
+			batch := make([]float64, n)
+			scorer.ScoreBatch(probe[:n], batch)
+			for i, x := range probe[:n] {
+				want := c.Score(x)
+				if got := scorer.Score(x); got != want {
+					t.Fatalf("scorer.Score(%d) = %g, classifier %g", i, got, want)
+				}
+				if batch[i] != want {
+					t.Fatalf("vector=%v n=%d: ScoreBatch[%d] = %g, classifier %g", vec, n, i, batch[i], want)
+				}
+			}
 		}
 	}
+	useAVX2 = vecmath.Enabled()
 
-	// The snapshot is frozen: updating the classifier must not move it.
-	before := compiled.Score(probe[0])
+	// A scorer reads the live weights: after an update it scores the new
+	// classifier.
+	before := scorer.Score(probe[0])
 	c.Update(probe[0], true)
-	if got := compiled.Score(probe[0]); got != before {
-		t.Fatalf("compiled scorer drifted after Update: %g -> %g", before, got)
+	out := make([]float64, 1)
+	scorer.ScoreBatch(probe[:1], out)
+	if want := c.Score(probe[0]); want == before || out[0] != want {
+		t.Fatalf("after Update: classifier %g (was %g), ScoreBatch %g", want, before, out[0])
 	}
-	if c.Score(probe[0]) == before {
-		t.Fatal("classifier did not move after Update (test is vacuous)")
+}
+
+// vectorModes lists the ScoreBatch paths this machine can run: the vector
+// kernel where AVX2 is present, and always the per-draw loop.
+func vectorModes() []bool {
+	if vecmath.Enabled() {
+		return []bool{true, false}
 	}
+	return []bool{false}
+}
+
+// sameScore reports bit equality, counting any two NaNs as equal: a NaN's
+// payload depends on which operand the hardware propagates, which Go's
+// compiler is free to choose for a commutative multiply or add.
+func sameScore(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// FuzzScoreBatch scores a batch of 0–40 draws against random weights —
+// ±0 and large magnitudes among them — with inputs from the bulk out to
+// large values and NaN, and requires ScoreBatch to equal Score draw by
+// draw, with the vector path on and off.
+func FuzzScoreBatch(f *testing.F) {
+	f.Add(int64(1), uint8(17), uint8(6), uint8(4), 4.0)
+	f.Add(int64(2), uint8(40), uint8(3), uint8(2), 1e3)
+	f.Add(int64(3), uint8(0), uint8(1), uint8(1), 1.0)
+	f.Fuzz(func(t *testing.T, seed int64, n, dim, degree uint8, spread float64) {
+		if math.IsNaN(spread) || math.IsInf(spread, 0) {
+			spread = 1
+		}
+		rng := rand.New(rand.NewSource(seed))
+		pf := NewPolyFeatures(1+int(dim%8), 1+int(degree%5), 0)
+		c := NewClassifier(pf, 1e-4)
+		for i := range c.w {
+			switch rng.Intn(8) {
+			case 0:
+				c.w[i] = 0
+			case 1:
+				c.w[i] = math.Copysign(0, -1)
+			case 2:
+				c.w[i] = rng.NormFloat64() * 1e150
+			default:
+				c.w[i] = rng.NormFloat64()
+			}
+		}
+		xs := make([]linalg.Vector, int(n%41))
+		for i := range xs {
+			x := make(linalg.Vector, pf.Dim)
+			for d := range x {
+				switch rng.Intn(16) {
+				case 0:
+					x[d] = math.NaN()
+				case 1:
+					x[d] = rng.NormFloat64() * 1e80
+				default:
+					x[d] = rng.NormFloat64() * spread
+				}
+			}
+			xs[i] = x
+		}
+		s := c.NewScorer()
+		out := make([]float64, len(xs))
+		for _, vec := range vectorModes() {
+			useAVX2 = vec
+			s.ScoreBatch(xs, out)
+			useAVX2 = vecmath.Enabled()
+			for i, x := range xs {
+				if want := s.Score(x); !sameScore(out[i], want) {
+					t.Fatalf("vector=%v draw %d of %d (dim %d degree %d) x=%v: ScoreBatch %v (%#x), Score %v (%#x)",
+						vec, i, len(xs), pf.Dim, pf.Degree, x, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkTransformInto(b *testing.B) {
