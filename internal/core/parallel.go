@@ -90,15 +90,20 @@ func (l *batchLabeler) flushRange(lo, hi int) {
 	l.trained = l.e.classifier.Trained()
 }
 
-// score evaluates the frozen classifier through worker w's dedicated
-// scorer (the shared Classifier scratch buffer would race). Slot w is owned
-// by one goroutine at a time, per the ParFor contract, and w is always below
+// scorer returns worker w's dedicated scorer over the frozen classifier
+// (the shared Classifier scratch buffer would race). Slot w is owned by one
+// goroutine at a time, per the ParFor contract, and w is always below
 // Opts.Parallelism, the worker count every ParFor is clamped to.
-func (l *batchLabeler) score(w int, u linalg.Vector) float64 {
+func (l *batchLabeler) scorer(w int) *svm.Scorer {
 	sc := l.perW[w]
 	if sc == nil {
 		sc = l.e.classifier.NewScorer()
 		l.perW[w] = sc
 	}
-	return sc.Score(u)
+	return sc
+}
+
+// score evaluates the frozen classifier at u through worker w's scorer.
+func (l *batchLabeler) score(w int, u linalg.Vector) float64 {
+	return l.scorer(w).Score(u)
 }

@@ -50,6 +50,13 @@ type Result struct {
 	// of the result.
 	PFRounds []PFRoundDiag
 
+	// MaxTermShare is the share of the stage-2 estimate carried by its
+	// single largest eq.-(19) term (0 when no term is positive). A share
+	// near 1 means one draw made the estimate. It is information, not a
+	// verdict: per-run rules on it do not separate the runs that miss.
+	// Deterministic, like PFRounds.
+	MaxTermShare float64
+
 	Proposal *montecarlo.GMM
 }
 

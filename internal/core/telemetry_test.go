@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ecripse/internal/obsv"
@@ -141,5 +144,33 @@ func TestPFRoundDiagnostics(t *testing.T) {
 	// Var rides the convergence series now.
 	if fin := res.Series.Final(); fin.P > 0 && fin.Var <= 0 {
 		t.Fatalf("final series point has no variance: %+v", fin)
+	}
+}
+
+// TestMaxTermShareReported: the Vdd 0.7 RDF-only run at seed 139, whose
+// estimate one stage-2 draw dominates, reports that draw's share on the
+// Result and in the health report, as information that leaves the report
+// healthy; and the estimate's bits are those of a run without a monitor.
+func TestMaxTermShareReported(t *testing.T) {
+	hm := obsv.NewHealthMonitor(obsv.HealthConfig{}, nil)
+	ctx := obsv.WithHealth(context.Background(), hm)
+	res, err := NewEngine(sram.NewCell(0.7), nil, Options{NIS: 20000}).RunCtx(ctx, rand.New(rand.NewSource(139)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxTermShare <= 0.7 || res.MaxTermShare > 1 {
+		t.Fatalf("largest-term share %v, want one draw above 0.7 (Pfail %.4e)", res.MaxTermShare, res.Estimate.P)
+	}
+	rep := hm.Report()
+	if rep.MaxTermShare != res.MaxTermShare || !rep.Healthy {
+		t.Fatalf("health report: share %v (result %v), healthy %v", rep.MaxTermShare, res.MaxTermShare, rep.Healthy)
+	}
+	if got := rep.Summary(); !strings.Contains(got, fmt.Sprintf("largest term carries %.1f%%", 100*res.MaxTermShare)) {
+		t.Fatalf("summary does not show the share:\n%s", got)
+	}
+	plain := mustRun(t, NewEngine(sram.NewCell(0.7), nil, Options{NIS: 20000}), rand.New(rand.NewSource(139)), nil)
+	if math.Float64bits(plain.Estimate.P) != math.Float64bits(res.Estimate.P) || plain.MaxTermShare != res.MaxTermShare {
+		t.Fatalf("monitored run %v (share %v), bare run %v (share %v)",
+			res.Estimate.P, res.MaxTermShare, plain.Estimate.P, plain.MaxTermShare)
 	}
 }

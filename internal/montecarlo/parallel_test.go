@@ -77,8 +77,9 @@ func TestImportanceSampleParWorkerInvariance(t *testing.T) {
 	run := func(workers int) stats.Series {
 		var c Counter
 		pv := newPipelinedRule(256, &c)
-		return ImportanceSamplePar(context.Background(), gaussianBump{dim: 4}, pv, 3000,
+		series, _ := ImportanceSamplePar(context.Background(), gaussianBump{dim: 4}, pv, 3000,
 			ParOptions{Seed: 11, Workers: workers, Batch: 128}, &c, 500)
+		return series
 	}
 	want := run(1)
 	if len(want) == 0 || want.Final().P <= 0 {
@@ -92,9 +93,11 @@ func TestImportanceSampleParWorkerInvariance(t *testing.T) {
 }
 
 // barrierProbe is a PipelinedValue that checks the driver's barrier order
-// from inside the callbacks: a sample scores only after it generated and
-// after the previous batch's Flush returned, every Score of a batch
-// precedes its Resolve, and every Value of a range precedes its Flush.
+// from inside the callbacks: a sample scores exactly once, in a chunk of
+// scoreChunk samples aligned to its batch start (the batch's last chunk
+// may be shorter), only after it generated and after the previous batch's
+// Flush returned; every Score of a batch precedes its Resolve, and every
+// Value of a range precedes its Flush.
 type barrierProbe struct {
 	t         *testing.T
 	batch     int
@@ -126,14 +129,24 @@ func (p *barrierProbe) Generate(rng *rand.Rand, k int, x linalg.Vector) {
 	}
 }
 
-func (p *barrierProbe) Score(w, k int) {
-	if !p.generated[k].Load() {
-		p.t.Errorf("sample %d scored before it generated", k)
+func (p *barrierProbe) Score(w, lo, hi int) {
+	start := lo / p.batch * p.batch
+	end := min(start+p.batch, len(p.scored))
+	if lo >= hi || (lo-start)%scoreChunk != 0 || hi != min(lo+scoreChunk, end) {
+		p.t.Errorf("chunk [%d,%d) is not a %d-sample chunk of batch [%d,%d)", lo, hi, scoreChunk, start, end)
+		return
 	}
-	if lo := int64(k / p.batch * p.batch); p.flushed.Load() < lo {
-		p.t.Errorf("sample %d scored before the flush of [0,%d) returned (flushed %d)", k, lo, p.flushed.Load())
+	if p.flushed.Load() < int64(start) {
+		p.t.Errorf("chunk [%d,%d) scored before the flush of [0,%d) returned (flushed %d)", lo, hi, start, p.flushed.Load())
 	}
-	p.scored[k].Store(true)
+	for k := lo; k < hi; k++ {
+		if !p.generated[k].Load() {
+			p.t.Errorf("sample %d scored before it generated", k)
+		}
+		if !p.scored[k].CompareAndSwap(false, true) {
+			p.t.Errorf("sample %d scored twice", k)
+		}
+	}
 }
 
 // Resolve checks its batch has scored and then settles no faster than the
@@ -183,18 +196,25 @@ func (p *barrierProbe) flush(next *int) func(lo, hi int) {
 // TestImportanceSampleParFlushBarrier: Flush must see contiguous, in-order,
 // non-overlapping ranges covering [0, n) exactly once, after every sample of
 // the range has been valued; the next batch may generate early but scores
-// only after that Flush returns, and a batch resolves only once all of it
-// has scored.
+// only after that Flush returns, in chunks that cover every sample exactly
+// once, and a batch resolves only once all of it has scored.
 func TestImportanceSampleParFlushBarrier(t *testing.T) {
-	const n, batch = 1000, 128
-	for _, workers := range []int{1, 4} {
-		var c Counter
-		p := newBarrierProbe(t, n, batch)
-		next := 0
-		ImportanceSamplePar(context.Background(), gaussianBump{dim: 2}, p, n,
-			ParOptions{Seed: 1, Workers: workers, Batch: batch, Flush: p.flush(&next)}, &c, 0)
-		if next != n {
-			t.Fatalf("workers=%d: flush covered [0,%d), want [0,%d)", workers, next, n)
+	const n = 1000
+	for _, batch := range []int{128, 256} {
+		for _, workers := range []int{1, 4} {
+			var c Counter
+			p := newBarrierProbe(t, n, batch)
+			next := 0
+			ImportanceSamplePar(context.Background(), gaussianBump{dim: 2}, p, n,
+				ParOptions{Seed: 1, Workers: workers, Batch: batch, Flush: p.flush(&next)}, &c, 0)
+			if next != n {
+				t.Fatalf("batch=%d workers=%d: flush covered [0,%d), want [0,%d)", batch, workers, next, n)
+			}
+			for k := range p.scored {
+				if !p.scored[k].Load() {
+					t.Fatalf("batch=%d workers=%d: sample %d never scored", batch, workers, k)
+				}
+			}
 		}
 	}
 }
@@ -211,7 +231,7 @@ func TestImportanceSampleParCancellation(t *testing.T) {
 			cancel()
 		}
 	}}
-	series := ImportanceSamplePar(ctx, gaussianBump{dim: 2}, pv, n,
+	series, _ := ImportanceSamplePar(ctx, gaussianBump{dim: 2}, pv, n,
 		ParOptions{Seed: 5, Workers: 4, Batch: batch}, &c, 0)
 	total := evals.Load()
 	if total >= n {

@@ -15,8 +15,8 @@ import (
 
 // pipelinedRule implements PipelinedValue over a simple rare-event rule:
 // Generate stages one uniform from the sample substream (the
-// classifier-free half), Score marks the sample scored (the rule has no
-// frozen-state decisions), Resolve bills one simulation per sample to c
+// classifier-free half), Score marks its chunk's samples scored (the rule
+// has no frozen-state decisions), Resolve bills one simulation per sample to c
 // when set, and the value is 1 when the draw lands inside a ball around a
 // shifted center. The ring spans two batches, as the contract requires.
 type pipelinedRule struct {
@@ -34,8 +34,10 @@ func (s *pipelinedRule) Generate(rng *rand.Rand, k int, x linalg.Vector) {
 	s.scored[k%len(s.us)] = false
 }
 
-func (s *pipelinedRule) Score(w, k int) {
-	s.scored[k%len(s.us)] = true
+func (s *pipelinedRule) Score(w, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		s.scored[k%len(s.us)] = true
+	}
 }
 
 func (s *pipelinedRule) Resolve(lo, hi int) {
@@ -69,10 +71,12 @@ var _ PipelinedValue = (*pipelinedRule)(nil)
 // serialRuleIS is the reference the pipelined driver is pinned against:
 // the importance-sampling estimate of pipelinedRule's value written as one
 // plain loop, sample k drawing x_k and its uniform from substream (seed, k),
-// one simulation per sample, recorded at the batch boundaries.
-func serialRuleIS(q Proposal, n, batch, recordEvery int, seed int64) stats.Series {
+// one simulation per sample, recorded at the batch boundaries, with the
+// terms' sum and largest term.
+func serialRuleIS(q Proposal, n, batch, recordEvery int, seed int64) (stats.Series, TermStats) {
 	var run stats.Running
 	var series stats.Series
+	var ts TermStats
 	recorded := 0
 	for k := 0; k < n; k++ {
 		rng := randx.Stream(seed, uint64(k))
@@ -82,6 +86,10 @@ func serialRuleIS(q Proposal, n, batch, recordEvery int, seed int64) stats.Serie
 			term = v * math.Exp(randx.StdNormalLogPDF(x)-q.LogPDF(x))
 		}
 		run.Add(term)
+		ts.Sum += term
+		if term > ts.Max {
+			ts.Max = term
+		}
 		hi := k + 1
 		if hi%batch != 0 && hi != n {
 			continue
@@ -93,28 +101,31 @@ func serialRuleIS(q Proposal, n, batch, recordEvery int, seed int64) stats.Serie
 		}
 		recorded = hi
 	}
-	return series
+	return series, ts
 }
 
 // TestImportanceSampleParPipelinedMatchesScalar pins the double-buffered
-// driver to the serial per-sample loop: same series bit for bit, at
-// lengths that exercise partial final batches and at several worker counts,
-// with one pipelined window per batch.
+// driver to the serial per-sample loop: same series and term statistics
+// bit for bit, at lengths that exercise partial final batches and at
+// several worker counts, with one pipelined window per batch.
 func TestImportanceSampleParPipelinedMatchesScalar(t *testing.T) {
 	dim := 4
 	q := &GMM{Means: []linalg.Vector{linalg.NewVector(dim)}, Sigma: uniformSigma(dim, 1.5)}
 	for _, n := range []int{100, 256, 700} {
-		want := serialRuleIS(q, n, 128, 64, 5)
-		if want.Final().P <= 0 {
-			t.Fatalf("n=%d: degenerate reference series %v", n, want)
+		want, wantTerms := serialRuleIS(q, n, 128, 64, 5)
+		if want.Final().P <= 0 || wantTerms.MaxShare() <= 0 || wantTerms.MaxShare() > 1 {
+			t.Fatalf("n=%d: degenerate reference series %v, terms %+v", n, want, wantTerms)
 		}
 		for _, workers := range []int{1, 3} {
 			var c Counter
 			var ps PipelineStats
-			got := ImportanceSamplePar(context.Background(), q, newPipelinedRule(256, &c),
+			got, terms := ImportanceSamplePar(context.Background(), q, newPipelinedRule(256, &c),
 				n, ParOptions{Seed: 5, Workers: workers, Batch: 128, PipeStats: &ps}, &c, 64)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d workers=%d: pipelined series diverged\npipelined %v\nserial    %v", n, workers, got, want)
+			}
+			if terms != wantTerms {
+				t.Fatalf("n=%d workers=%d: term statistics %+v, serial %+v", n, workers, terms, wantTerms)
 			}
 			wantBatches := int64((n + 127) / 128)
 			if ps.Batches != wantBatches {
@@ -135,8 +146,9 @@ func TestImportanceSampleParPipelinedWorkerInvariance(t *testing.T) {
 	q := &GMM{Means: []linalg.Vector{linalg.NewVector(dim)}, Sigma: uniformSigma(dim, 1.2)}
 	run := func(workers int) stats.Series {
 		var c Counter
-		return ImportanceSamplePar(context.Background(), q, newPipelinedRule(2*DefaultBatch, &c),
+		series, _ := ImportanceSamplePar(context.Background(), q, newPipelinedRule(2*DefaultBatch, &c),
 			1000, ParOptions{Seed: 11, Workers: workers}, &c, 100)
+		return series
 	}
 	want := run(1)
 	if want.Final().P <= 0 || want.Final().Sims != 1000 {
@@ -166,7 +178,7 @@ func TestPipelinedCancellation(t *testing.T) {
 		onValue: func() { vals.Add(1) },
 	}
 	var c Counter
-	series := ImportanceSamplePar(ctx, q, pv, 10000, ParOptions{Seed: 3, Workers: 1}, &c, 0)
+	series, _ := ImportanceSamplePar(ctx, q, pv, 10000, ParOptions{Seed: 3, Workers: 1}, &c, 0)
 	if len(series) == 0 {
 		t.Fatalf("cancelled run lost its partial series")
 	}

@@ -148,6 +148,11 @@ type HealthReport struct {
 	// maxViolations; Suppressed counts the overflow.
 	Violations []HealthViolation `json:"violations,omitempty"`
 	Suppressed int64             `json:"suppressed,omitempty"`
+	// MaxTermShare is the share of the stage-2 importance-sampling estimate
+	// carried by its single largest term (see ObserveTermShare); 0 when
+	// stage 2 folded no positive term. Information, not a verdict: no rule
+	// reads it and it never makes a report unhealthy.
+	MaxTermShare float64 `json:"max_term_share,omitempty"`
 }
 
 // maxViolations bounds the stored violation list (a pathological run firing
@@ -191,6 +196,9 @@ type HealthMonitor struct {
 	// Flip-drift state.
 	flipObs      int64
 	flipDisagree int64
+
+	// termShare is the last stage-2 largest-term share observed.
+	termShare float64
 }
 
 // NewHealthMonitor builds a monitor; zero-valued config fields take their
@@ -317,6 +325,20 @@ func (m *HealthMonitor) ObserveFlips(stage string, round int, replayed, disagree
 	m.flipDisagree += disagreed
 }
 
+// ObserveTermShare records the share of the stage-2 estimate that its
+// largest importance-sampling term carries, once per stage 2. It is
+// reported, not judged: the share of one run does not tell a run that
+// missed from one that did not, so no rule fires on it and it counts no
+// check. Deterministic (an index-ordered fold), so it belongs in Report().
+func (m *HealthMonitor) ObserveTermShare(share float64) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.termShare = share
+}
+
 // ObservePipeline evaluates the wall-clock stall-fraction rule once at the
 // end of a pipelined stage 2. Its verdict fires the observer and is listed
 // by WallViolations() but never enters Report() — wall-clock numbers must
@@ -350,9 +372,10 @@ func (m *HealthMonitor) Report() *HealthReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := &HealthReport{
-		Healthy:    len(m.violations) == 0 && m.suppressed == 0,
-		Checks:     m.checks,
-		Suppressed: m.suppressed,
+		Healthy:      len(m.violations) == 0 && m.suppressed == 0,
+		Checks:       m.checks,
+		Suppressed:   m.suppressed,
+		MaxTermShare: m.termShare,
 	}
 	if len(m.violations) > 0 {
 		r.Violations = append([]HealthViolation(nil), m.violations...)
@@ -388,20 +411,26 @@ func HealthFrom(ctx context.Context) *HealthMonitor {
 }
 
 // Summary renders the report as a short text block (the CLI -health
-// output): one line per violation, a one-line verdict otherwise.
+// output): one line per violation, a one-line verdict otherwise, then the
+// stage-2 largest-term share when there is one.
 func (r *HealthReport) Summary() string {
 	if r == nil {
 		return "health: not evaluated\n"
 	}
+	var b []byte
 	if r.Healthy {
-		return fmt.Sprintf("health: OK (%d checks)\n", r.Checks)
+		b = appendf(b, "health: OK (%d checks)\n", r.Checks)
+	} else {
+		b = appendf(b, "health: %d violation(s) in %d checks\n", int64(len(r.Violations))+r.Suppressed, r.Checks)
+		for _, v := range r.Violations {
+			b = appendf(b, "  [%s] %s round %d: %s\n", v.Rule, v.Stage, v.Round, v.Detail)
+		}
+		if r.Suppressed > 0 {
+			b = appendf(b, "  (+%d suppressed)\n", r.Suppressed)
+		}
 	}
-	b := appendf(nil, "health: %d violation(s) in %d checks\n", int64(len(r.Violations))+r.Suppressed, r.Checks)
-	for _, v := range r.Violations {
-		b = appendf(b, "  [%s] %s round %d: %s\n", v.Rule, v.Stage, v.Round, v.Detail)
-	}
-	if r.Suppressed > 0 {
-		b = appendf(b, "  (+%d suppressed)\n", r.Suppressed)
+	if r.MaxTermShare > 0 {
+		b = appendf(b, "stage 2: the largest term carries %.1f%% of the estimate\n", 100*r.MaxTermShare)
 	}
 	return string(b)
 }
